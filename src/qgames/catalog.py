@@ -159,7 +159,7 @@ def _payoff_check(label, note, expected, actual, tol=1e-9, extra=None):
 # penny flip
 # ---------------------------------------------------------------------------
 
-def _penny_flip(config_defaults: SearchConfig) -> CatalogEntry:
+def _penny_flip() -> CatalogEntry:
     # Normal form: player C picks one move, player Q picks (first, last).
     pi_c = np.array(
         [
@@ -617,7 +617,7 @@ def load(
     if name == "penny_flip":
         if parameters:
             raise ParameterError("penny_flip takes no parameters")
-        entry = _penny_flip(config or SearchConfig())
+        entry = _penny_flip()
     elif name == "prisoners_dilemma":
         params = _require_params(
             name,

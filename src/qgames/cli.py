@@ -5,7 +5,7 @@ Subcommands:
 * ``analyze``          classical solutions of a game file
 * ``quantumize``       build the quantum game and report payoff-operator spectra
 * ``payoff``           evaluate one quantum play
-* ``best-response``    search one player's best reply
+* ``best-response``    one player's exact best reply
 * ``verify-nash``      certify or refute a strategy profile
 * ``pareto``           Pareto relations over plays or supplied payoff vectors
 * ``play-sequential``  run a move sequence of a sequential game
@@ -42,7 +42,7 @@ from .equilibrium import (
     verify_nash_mixed_finite,
 )
 from .errors import GameFileError, QGamesError
-from .gamefile import export_entry_text, parse_angle, parse_game_file
+from .gamefile import _play_token, export_entry_text, parse_angle, parse_game_file
 from .quantum import TOL, UnitaryOperator, commutator_norm
 from .quantumize import (
     OperatorMixture,
@@ -188,19 +188,12 @@ class Report:
 # ---------------------------------------------------------------------------
 
 def _config(args) -> SearchConfig:
-    return SearchConfig(
-        grid_resolution=args.grid,
-        refinement_iterations=args.refine,
-        epsilon=args.epsilon,
-        seed=args.seed,
-    )
+    return SearchConfig(epsilon=args.epsilon, seed=args.seed)
 
 
 def _diagnostics(args) -> dict:
     return {
         "tol": args.tol,
-        "grid_resolution": args.grid,
-        "refinement_iterations": args.refine,
         "epsilon": args.epsilon,
         "seed": args.seed,
     }
@@ -263,11 +256,6 @@ def _parse_mixtures(text: str, players: int, family: StrategyFamily) -> list[Ope
             probs = np.array([float(x) for x in g])
         mixtures.append(OperatorMixture.over_family(family, probs))
     return mixtures
-
-
-def _play_token(game, play) -> str:
-    names = game.play_label(play)
-    return "".join(names) if all(len(n) == 1 for n in names) else ",".join(names)
 
 
 def _resolve_player(token: str, names) -> int:
@@ -621,15 +609,12 @@ def _build_parser() -> argparse.ArgumentParser:
         if game:
             p.add_argument("--game", required=True, help="game definition JSON file")
         p.add_argument("--tol", type=float, default=TOL, help="numeric tolerance")
-        p.add_argument("--grid", type=int, default=64, help="search grid resolution")
-        p.add_argument("--refine", type=int, default=40, help="refinement iterations")
         p.add_argument("--epsilon", type=float, default=1e-6, help="certification threshold")
         p.add_argument("--seed", type=int, default=0, help="seed echoed into reports")
         p.add_argument("--format", choices=("text", "json"), default="text")
 
     p = sub.add_parser("analyze", help="classical solutions of a game file")
     common(p)
-    p.add_argument("--classical", action="store_true", help="classical analysis (default)")
     p.add_argument("--strict", action="store_true", help="strict dominance / equilibria")
     p.set_defaults(func=_cmd_analyze)
 
@@ -643,7 +628,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", choices=("one_param", "two_param", "three_param", "finite_set"))
     p.set_defaults(func=_cmd_payoff)
 
-    p = sub.add_parser("best-response", help="search one player's best reply")
+    p = sub.add_parser("best-response", help="one player's exact best reply")
     common(p)
     p.add_argument("--player", required=True, help="player name or 0-based index")
     p.add_argument("--others", required=True, help="other players' strategies")

@@ -1,16 +1,21 @@
-"""Best-response search and equilibrium certification for quantum games.
+"""Exact best responses and equilibrium certification for quantum games.
 
-The search is numeric and uniform across strategy families: an exhaustive
-parameter-grid scan picks the incumbent, then coordinatewise golden-section
-passes refine it inside a shrinking window (wrapping around periodic
-coordinates, whose optima often sit on the 0/2π seam). Payoffs along the
-scan are evaluated through a precomputed quartic coefficient tensor, so a
-whole grid costs a single einsum:
+A player's payoff, with the other players' operators V_j held fixed, is a
+quartic form in their own local operator U:
 
     payoff(U) = Σ U[a,b]·conj(U[c,d])·T[a,b,c,d]
     T[a,b,c,d] = Tr[C_ab ρ C_cd† π̂],   C_ab = V_1 ⊗ .. ⊗ e_ab ⊗ .. ⊗ V_n
 
-with the other players' operators V_j held fixed.
+On a qubit every strategy family lies in SU(2). Writing
+U = x0·I + x1·iZ + x2·iY + x3·iX = [[α, β], [−β*, α*]] with the unit real
+4-vector x = (Re α, Im α, Re β, Im β) turns the payoff into a real quadratic
+form xᵀMx, so a best response is an eigenvalue problem: over all of SU(2)
+(three_param) it is the top eigenvector of M. The smaller families pin x to
+the nonnegative orthant of some coordinates (two_param: x0, x1, x2 ≥ 0,
+x3 = 0; one_param: x0, x2 ≥ 0, x1 = x3 = 0). There the maximizer is a
+positive eigenvector of the principal submatrix of M on its own support,
+so enumerating the faces of the orthant finds it; an eigenvalue shared by
+several eigenvectors attains the same value on a smaller face.
 
 Certification is an ε-test: a profile is certified when no player's best
 response improves on the profile payoff by more than ε; refutation demands
@@ -19,6 +24,7 @@ a gain above 10ε so borderline profiles flap in neither direction.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -34,33 +40,41 @@ from .quantumize import (
 )
 from .strategies import (
     FINITE_SET,
+    ONE_PARAM,
+    THREE_PARAM,
+    TWO_PARAM,
     ParamPoint,
     StrategyFamily,
-    batch_unitaries,
     param_unitary,
+    unitary_matrix,
 )
 
-_GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
-_GOLDEN_STEPS = 25
-_IMPROVEMENT_EPS = 1e-13
+#: Columns are vec(I), vec(iZ), vec(iY), vec(iX): U = Σ_k x_k·basis_k.
+_SU2_BASIS = np.stack(
+    [
+        np.eye(2),
+        np.diag([1j, -1j]),
+        np.array([[0, 1], [-1, 0]]),
+        np.array([[0, 1j], [1j, 0]]),
+    ],
+    axis=-1,
+).reshape(4, 4)
+#: Coordinates of x that a family may set; all of them are nonnegative.
+_ORTHANT_COORDS = {ONE_PARAM: (0, 2), TWO_PARAM: (0, 1, 2)}
+_FACE_TOL = 1e-12
+_TIE_MARGIN = 1e-13
 
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Knobs for the best-response search; defaults suit 2x2 subsystems."""
+    """Certification threshold ``epsilon`` and the ``seed`` of sampled checks."""
 
-    grid_resolution: int = 64
-    refinement_iterations: int = 40
     epsilon: float = 1e-6
     seed: int = 0
 
     def __post_init__(self):
         if self.epsilon <= 0:
             raise ParameterError("epsilon must be positive")
-        if self.grid_resolution < 2:
-            raise ParameterError("grid resolution must be at least 2")
-        if self.refinement_iterations < 0:
-            raise ParameterError("refinement iterations must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -130,22 +144,43 @@ class _LocalPayoff:
         return np.einsum("gab,gcd,abcd->g", us, us.conj(), self.coeff).real
 
 
-def _golden_section_max(f, lo: float, hi: float) -> tuple[float, float]:
-    a, b = lo, hi
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(_GOLDEN_STEPS):
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = f(d)
-    x = 0.5 * (a + b)
-    return x, f(x)
+def _orthant_argmax(form: np.ndarray, coords: tuple[int, ...]) -> np.ndarray:
+    """Maximizer of xᵀ·form·x over unit x ≥ 0 supported on ``coords``.
+
+    The maximizer is a positive eigenvector of the principal submatrix on
+    its own support, so every face of the orthant is tried in turn.
+    """
+    best, best_x = -np.inf, None
+    for size in range(1, len(coords) + 1):
+        for support in combinations(coords, size):
+            idx = list(support)
+            vals, vecs = np.linalg.eigh(form[np.ix_(idx, idx)])
+            for val, v in zip(vals, vecs.T):
+                if v.sum() < 0:
+                    v = -v
+                if v.min() < -_FACE_TOL or val <= best + _TIE_MARGIN:
+                    continue
+                best, best_x = val, np.zeros(4)
+                best_x[idx] = np.clip(v, 0.0, None)
+    return best_x
+
+
+def _half_open_period(angle: float) -> float:
+    # a tiny negative angle rounds up to 2π, which the range excludes
+    angle %= 2 * np.pi
+    return angle if angle < 2 * np.pi else 0.0
+
+
+def _point_from_vector(family: StrategyFamily, x: np.ndarray) -> ParamPoint:
+    alpha, beta = complex(x[0], x[1]), complex(x[2], x[3])
+    theta = 2.0 * float(np.arctan2(abs(beta), abs(alpha)))
+    if family.kind == ONE_PARAM:
+        return (theta,)
+    phi = float(np.angle(alpha)) if abs(alpha) >= 1e-15 else 0.0
+    if family.kind == TWO_PARAM:
+        return (theta, min(max(phi, 0.0), np.pi / 2))
+    lam = -float(np.angle(beta)) if abs(beta) >= 1e-15 else 0.0
+    return (theta, _half_open_period(phi), _half_open_period(lam))
 
 
 def best_response(
@@ -157,10 +192,18 @@ def best_response(
 ) -> tuple[ParamPoint, float]:
     """Best parameter point for ``player`` with the other players fixed.
 
-    Grid scan followed by coordinatewise golden-section refinement. The
-    returned payoff is never below any grid payoff, ties go to the lowest
-    lexicographic grid point, and the whole procedure is deterministic for
-    a fixed config.
+    Exact: the payoff is the quadratic form xᵀMx in the player's SU(2)
+    coordinates x (module docstring). three_param takes the top eigenvector
+    of M; two_param and one_param take the best eigenvector of a principal
+    submatrix that lies in their orthant. The returned value is the payoff
+    evaluated at the returned point. ``config`` is accepted for the callers
+    that pass it through; the result does not depend on it.
+
+    Ties are broken deterministically. three_param makes the first
+    component of x with magnitude above 1e-12 positive. two_param and
+    one_param try supports by size, then lexicographically, and each
+    submatrix's eigenvectors in ascending eigenvalue order; a later
+    candidate replaces the incumbent only when better by more than 1e-13.
     """
     if family.kind == FINITE_SET:
         raise UnsupportedError(
@@ -173,84 +216,16 @@ def best_response(
             f"{player}'s subsystem dimension {qg.local_dims[player]}"
         )
     surface = _LocalPayoff(qg, player, others)
-    ranges = family.ranges
-    axes = [rng.axis(config.grid_resolution) for rng in ranges]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    points = np.stack([m.ravel() for m in mesh], axis=-1)
-    values = surface.values(batch_unitaries(family, points))
-    k = int(np.argmax(values))
-    x = points[k].copy()
-    best = float(values[k])
-
-    spans = np.array([axis[1] - axis[0] if len(axis) > 1 else 0.0 for axis in axes])
-    window = spans.copy()
-
-    def clamp(dim: int, v):
-        rng = ranges[dim]
-        if rng.periodic:
-            return rng.lo + (v - rng.lo) % (rng.hi - rng.lo)
-        return v
-
-    def along(dim: int, v: float) -> float:
-        y = x.copy()
-        y[dim] = clamp(dim, v)
-        return surface.value(batch_unitaries(family, y[None, :])[0])
-
-    def joint_rescan() -> tuple[np.ndarray, float] | None:
-        # coordinatewise moves stall in coupled valleys, most notably at the
-        # θ-boundary where the two phases degenerate; scan coordinate pairs
-        # jointly, sweeping periodic coordinates over their whole range
-        blocks = []
-        for d1 in range(len(ranges)):
-            for d2 in range(d1 + 1, len(ranges)):
-                grids = []
-                for d in (d1, d2):
-                    rng = ranges[d]
-                    if rng.periodic:
-                        grids.append(np.linspace(rng.lo, rng.hi, 17, endpoint=False))
-                    else:
-                        lo = max(rng.lo, x[d] - window[d])
-                        hi = min(rng.hi, x[d] + window[d])
-                        grids.append(np.linspace(lo, hi, 9))
-                g1, g2 = np.meshgrid(grids[0], grids[1], indexing="ij")
-                block = np.tile(x, (g1.size, 1))
-                block[:, d1] = clamp(d1, g1.ravel())
-                block[:, d2] = clamp(d2, g2.ravel())
-                blocks.append(block)
-        if not blocks:
-            return None
-        candidates = np.concatenate(blocks, axis=0)
-        scan = surface.values(batch_unitaries(family, candidates))
-        j = int(np.argmax(scan))
-        if scan[j] > best + _IMPROVEMENT_EPS:
-            return candidates[j].copy(), float(scan[j])
-        return None
-
-    rescans_left = 4 if len(ranges) > 1 else 0
-    for _ in range(config.refinement_iterations):
-        improved = 0.0
-        for dim in range(len(ranges)):
-            if window[dim] <= 0.0:
-                continue
-            rng = ranges[dim]
-            if rng.periodic:
-                lo, hi = x[dim] - window[dim], x[dim] + window[dim]
-            else:
-                lo = max(rng.lo, x[dim] - window[dim])
-                hi = min(rng.hi, x[dim] + window[dim])
-            xd, vd = _golden_section_max(lambda v: along(dim, v), lo, hi)
-            if vd > best + _IMPROVEMENT_EPS:
-                improved = max(improved, vd - best)
-                best = vd
-                x[dim] = clamp(dim, xd)
-        if improved <= _IMPROVEMENT_EPS:
-            escaped = joint_rescan() if rescans_left > 0 else None
-            if escaped is not None:
-                rescans_left -= 1
-                x, best = escaped
-            else:
-                window *= 0.6  # no progress at this scale: zoom in
-    return tuple(float(v) for v in x), best
+    form = _SU2_BASIS.T @ surface.coeff.reshape(4, 4) @ _SU2_BASIS.conj()
+    form = ((form + form.T) / 2).real
+    if family.kind == THREE_PARAM:
+        x = np.linalg.eigh(form)[1][:, -1]
+        if x[np.flatnonzero(np.abs(x) > _FACE_TOL)[0]] < 0:
+            x = -x
+    else:
+        x = _orthant_argmax(form, _ORTHANT_COORDS[family.kind])
+    point = _point_from_vector(family, x)
+    return point, surface.value(unitary_matrix(family, point))
 
 
 def profile_unitaries(family: StrategyFamily, profile: Sequence[ParamPoint]) -> list[UnitaryOperator]:

@@ -87,6 +87,19 @@ class _Collector:
             raise GameFileError(self.errors)
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_finite_number(value) -> bool:
+    if not (_is_int(value) or isinstance(value, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an integer too large for a float
+        return False
+
+
 def _complex_entry(value, path: str, errs: _Collector) -> complex:
     if (
         isinstance(value, (list, tuple))
@@ -358,6 +371,7 @@ def _parse_sequential(section, errs: _Collector) -> SequentialSection | None:
             if (
                 not isinstance(perm, list)
                 or len(perm) != k
+                or not all(_is_int(j) for j in perm)
                 or sorted(perm) != list(range(k))
             ):
                 errs.add(
@@ -365,7 +379,7 @@ def _parse_sequential(section, errs: _Collector) -> SequentialSection | None:
                     f"expected a permutation of 0..{k - 1}",
                 )
                 continue
-            moves[str(name)] = tuple(int(j) for j in perm)
+            moves[str(name)] = tuple(perm)
     schedule = section.get("schedule")
     if not isinstance(schedule, list) or not schedule:
         errs.add("sequential.schedule", "expected a non-empty list of player names")
@@ -384,7 +398,11 @@ def _parse_sequential(section, errs: _Collector) -> SequentialSection | None:
             if not isinstance(row, list) or len(row) != k:
                 errs.add(f"sequential.state_payoffs[{i}]", f"expected {k} values")
                 continue
-            arr[i] = [float(v) for v in row]
+            for j, v in enumerate(row):
+                if _is_finite_number(v):
+                    arr[i, j] = v
+                else:
+                    errs.add(f"sequential.state_payoffs[{i}][{j}]", "expected a finite number")
     return SequentialSection(players, states, init, moves, tuple(str(s) for s in schedule), arr)
 
 

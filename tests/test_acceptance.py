@@ -143,9 +143,7 @@ def test_05_three_parameter_no_equilibrium(dilemma):
     so the exact construction is used here.
     """
     qg = dilemma.quantum
-    # 24 points per axis keeps the 3-parameter scan tractable; refinement
-    # converges to machine precision from there (see the equilibrium tests)
-    config = SearchConfig(grid_resolution=24)
+    config = SearchConfig()
     rng = np.random.default_rng(501)
     for _ in range(20):
         profile = tuple(

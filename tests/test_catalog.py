@@ -106,7 +106,7 @@ class TestLoadTimeVerification:
         entry = load(
             "battle_of_sexes",
             {"alpha": 7.0, "beta": 4.0, "gamma": 2.0},
-            config=SearchConfig(grid_resolution=16),
+            config=SearchConfig(),
         )
         sol = {s.label: s for s in entry.documented_solutions}
         value = sol["classical: interior mixed equilibrium"].payoffs[0]
@@ -116,5 +116,5 @@ class TestLoadTimeVerification:
         load(
             "prisoners_dilemma",
             {"alpha": 6.0, "beta": 4.0, "gamma": 2.0},
-            config=SearchConfig(grid_resolution=16),
+            config=SearchConfig(),
         )

@@ -27,7 +27,7 @@ def _capture(capsys, argv):
 class TestAnalyze:
     def test_dilemma(self, game_files, capsys):
         report, code, out = _capture(
-            capsys, ["analyze", "--game", game_files["prisoners_dilemma"], "--classical"]
+            capsys, ["analyze", "--game", game_files["prisoners_dilemma"]]
         )
         assert code == 0
         assert report.results["dominant_strategies"] == ["D", "D"]
@@ -161,7 +161,6 @@ class TestVerifyNash:
                 "--game", game_files["prisoners_dilemma"],
                 "--family", "two_param",
                 "--profile", "0,0;0,0",
-                "--grid", "16",
             ]
         )
         assert code == 1
@@ -241,9 +240,10 @@ class TestDemo:
         assert report.results["all_passed"] is True
 
     def test_demo_dilemma_with_grid(self):
-        report, code = run(["demo", "prisoners_dilemma", "--grid", "32"])
-        assert code == 0
-        assert report.results["all_passed"] is True
+        # best responses are exact, so the grid resolution flag is gone
+        with pytest.raises(SystemExit) as err:
+            run(["demo", "prisoners_dilemma", "--grid", "32"])
+        assert err.value.code == 2
 
     def test_demo_notes_mention_documented_discrepancies(self):
         report, _ = run(["demo", "battle_of_sexes"])
@@ -303,16 +303,16 @@ class TestDeterminismAndErrors:
                 "verify-nash",
                 "--game", game_files["prisoners_dilemma"],
                 "--profile", "0,pi/2;0,pi/2",
-                "--grid", "32",
                 "--epsilon", "1e-5",
                 "--seed", "3",
             ]
         )
         diag = report.diagnostics
-        assert diag["grid_resolution"] == 32
         assert diag["epsilon"] == 1e-5
         assert diag["seed"] == 3
         assert diag["tol"] == 1e-9
+        assert "grid_resolution" not in diag
+        assert "refinement_iterations" not in diag
 
     def test_missing_file_is_input_error(self):
         _, code = run(["analyze", "--game", "/no/such/file.json"])
@@ -323,6 +323,16 @@ class TestDeterminismAndErrors:
         path.write_text('{"schema_version": 1, "strategy_sets": [["a"]]}')
         _, code = run(["analyze", "--game", str(path)])
         assert code == 2
+
+    def test_malformed_sequential_entry_is_input_error(self, game_files, tmp_path, capsys):
+        with open(game_files["penny_flip"], encoding="utf-8") as fh:
+            doc = json.load(fh)
+        doc["sequential"]["state_payoffs"][0][1] = "x"
+        path = tmp_path / "penny.json"
+        path.write_text(json.dumps(doc))
+        _, code = run(["analyze", "--game", str(path)])
+        assert code == 2
+        assert "error: sequential.state_payoffs[0][1]" in capsys.readouterr().err
 
     def test_bad_profile_is_input_error(self, game_files):
         _, code = run(

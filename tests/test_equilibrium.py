@@ -1,10 +1,13 @@
-"""Best-response search, certification, forcing responses, Pareto reports."""
+"""Exact best responses, certification, forcing responses, Pareto reports."""
 import numpy as np
 import pytest
 
+from helpers import random_unitary
 from qgames.catalog import load
+from qgames.classical import ClassicalGame
 from qgames.equilibrium import (
     SearchConfig,
+    _LocalPayoff,
     best_response,
     best_response_mixed_finite,
     forcing_response,
@@ -13,15 +16,22 @@ from qgames.equilibrium import (
     verify_nash_mixed_finite,
 )
 from qgames.errors import UnsupportedError
-from qgames.quantum import UnitaryOperator
-from qgames.quantumize import OperatorMixture, expected_payoffs_mixed, expected_payoffs_q
+from qgames.quantum import DensityMatrix, UnitaryOperator
+from qgames.quantumize import (
+    OperatorMixture,
+    build_ewl,
+    expected_payoffs_mixed,
+    expected_payoffs_q,
+)
 from qgames.strategies import (
     DEFECT,
     FLIP,
     IDENTITY,
     QUANTUM_MOVE,
     StrategyFamily,
+    batch_unitaries,
     param_unitary,
+    parameter_grid,
 )
 
 TWO = StrategyFamily.two_param()
@@ -29,7 +39,7 @@ THREE = StrategyFamily.three_param()
 ONE = StrategyFamily.one_param()
 PHASE_POINT = (0.0, np.pi / 2)
 
-FAST = SearchConfig(grid_resolution=16, refinement_iterations=40)
+FAST = SearchConfig()
 
 
 @pytest.fixture(scope="module")
@@ -75,28 +85,22 @@ class TestBestResponse:
         rng = np.random.default_rng(seed)
         opp = param_unitary(THREE, _random_three_param_point(rng))
         point, value = best_response(dilemma_q, 0, {1: opp}, THREE, FAST)
-        assert value >= -1e-4  # player's maximum payoff is 0
+        assert abs(value) <= 1e-9  # the player's maximum payoff is 0
 
     def test_monotone_in_grid_resolution(self, dilemma_q):
+        # the exact value tops the grid maximum at every resolution
         opponents = [(0.8, 0.3), (2.1, 1.2), (np.pi, 0.0)]
         for opp_point in opponents:
             opp = param_unitary(TWO, opp_point)
-            values = []
+            _, value = best_response(dilemma_q, 0, {1: opp}, TWO)
+            surface = _LocalPayoff(dilemma_q, 0, {1: opp})
             for res in (8, 16, 32):
-                cfg = SearchConfig(grid_resolution=res, refinement_iterations=40)
-                _, value = best_response(dilemma_q, 0, {1: opp}, TWO, cfg)
-                values.append(value)
-            assert values[1] >= values[0] - 1e-9
-            assert values[2] >= values[1] - 1e-9
+                grid_vals = surface.values(batch_unitaries(TWO, parameter_grid(TWO, res)))
+                assert value >= grid_vals.max() - 1e-12
 
     def test_payoff_at_least_grid_best(self, dilemma_q):
-        # the refinement must never undercut the scanned grid
-        from qgames.strategies import batch_unitaries, parameter_grid
-        from qgames.equilibrium import _LocalPayoff
-
         opp = param_unitary(TWO, (1.234, 0.77))
-        cfg = SearchConfig(grid_resolution=9, refinement_iterations=12)
-        point, value = best_response(dilemma_q, 0, {1: opp}, TWO, cfg)
+        point, value = best_response(dilemma_q, 0, {1: opp}, TWO)
         surface = _LocalPayoff(dilemma_q, 0, {1: opp})
         grid_vals = surface.values(batch_unitaries(TWO, parameter_grid(TWO, 9)))
         assert value >= grid_vals.max() - 1e-12
@@ -113,6 +117,45 @@ class TestBestResponse:
         assert first == second
 
 
+@pytest.fixture(scope="module")
+def oracle_cases():
+    """The dilemma plus 12 random 2-qubit EWL games on random pure starts,
+    each with a random opponent."""
+    rng = np.random.default_rng(2001)
+    cases = [(load("prisoners_dilemma", verify=False).quantum, random_unitary(rng, 2))]
+    moves = (("C", "D"), ("C", "D"))
+    for _ in range(12):
+        game = ClassicalGame(moves, tuple(rng.uniform(-5, 5, size=(2, 2)) for _ in range(2)))
+        amplitudes = rng.normal(size=4) + 1j * rng.normal(size=4)
+        start = DensityMatrix.from_pure(amplitudes / np.linalg.norm(amplitudes))
+        cases.append((build_ewl(game, start), random_unitary(rng, 2)))
+    return cases
+
+
+class TestExactAgainstGridOracle:
+    """The plain grid maximum is a lower bound on every exact response."""
+
+    @pytest.mark.parametrize("case", range(13))
+    def test_exact_response(self, oracle_cases, case):
+        qg, opp = oracle_cases[case]
+        player = case % 2
+        others = {1 - player: opp}
+        surface = _LocalPayoff(qg, player, others)
+        values = []
+        for family, resolution in ((ONE, 64), (TWO, 64), (THREE, 24)):
+            point, value = best_response(qg, player, others, family)
+            grid_vals = surface.values(batch_unitaries(family, parameter_grid(family, resolution)))
+            assert value >= grid_vals.max() - 1e-12
+            play = [None, None]
+            play[player] = param_unitary(family, point)
+            play[1 - player] = UnitaryOperator(opp)
+            assert abs(value - expected_payoffs_q(qg, play)[player]) <= 1e-12
+            values.append(value)
+        # the families are nested: one_param within two_param within three_param
+        assert values[0] <= values[1] + 1e-12
+        assert values[1] <= values[2] + 1e-12
+
+
 class TestVerifyNash:
     def test_phase_profile_certifies(self, dilemma_q):
         report = verify_nash(dilemma_q, (PHASE_POINT, PHASE_POINT), TWO)
@@ -120,11 +163,11 @@ class TestVerifyNash:
         np.testing.assert_allclose(report.payoffs, (-1.0, -1.0), atol=1e-9)
 
     def test_certification_survives_grid_refinement(self, dilemma_q):
-        # doubling the resolution with a doubled epsilon must still certify
-        base = SearchConfig(grid_resolution=64, refinement_iterations=40, epsilon=1e-6)
-        fine = SearchConfig(grid_resolution=128, refinement_iterations=40, epsilon=2e-6)
-        assert verify_nash(dilemma_q, (PHASE_POINT, PHASE_POINT), TWO, base).certified
-        assert verify_nash(dilemma_q, (PHASE_POINT, PHASE_POINT), TWO, fine).certified
+        # the exact response leaves no gain for a finer search to find
+        config = SearchConfig(epsilon=1e-6)
+        report = verify_nash(dilemma_q, (PHASE_POINT, PHASE_POINT), TWO, config)
+        assert report.certified
+        assert report.max_unilateral_gain <= 1e-12
 
     def test_one_param_mutual_defection_certifies(self, dilemma_q):
         report = verify_nash(dilemma_q, ((np.pi,), (np.pi,)), ONE)
@@ -172,7 +215,7 @@ class TestForcingResponse:
         for _ in range(50):
             opp = param_unitary(THREE, _random_three_param_point(rng))
             _, value = best_response(dilemma_q, 1, {0: opp}, THREE, FAST)
-            assert value >= -1e-4
+            assert abs(value) <= 1e-9
 
     def test_requires_maximal_entanglement(self, coordination):
         # the coordination game's computational basis targets are product

@@ -159,6 +159,27 @@ class TestValidation:
             parse_game_file(json.dumps(doc))
         assert any("permutation" in line for line in err.value.errors)
 
+    @pytest.mark.parametrize(
+        "field,key,value,path",
+        [
+            ("state_payoffs", 0, [1.0, "x"], "sequential.state_payoffs[0][1]"),
+            ("state_payoffs", 1, [None, 1.0], "sequential.state_payoffs[1][0]"),
+            ("state_payoffs", 0, [True, -1.0], "sequential.state_payoffs[0][0]"),
+            ("state_payoffs", 1, [-1.0, float("inf")], "sequential.state_payoffs[1][1]"),
+            ("state_payoffs", 1, [float("nan"), 1.0], "sequential.state_payoffs[1][0]"),
+            ("state_payoffs", 0, [10**400, -1.0], "sequential.state_payoffs[0][0]"),
+            ("moves", "N", [0, "a"], "sequential.moves.N"),
+            ("moves", "F", [True, False], "sequential.moves.F"),
+            ("moves", "N", [0, 1.0], "sequential.moves.N"),
+        ],
+    )
+    def test_malformed_sequential_entries(self, field, key, value, path):
+        doc = _doc("penny_flip")
+        doc["sequential"][field][key] = value
+        with pytest.raises(GameFileError) as err:
+            parse_game_file(json.dumps(doc))
+        assert any(line.startswith(f"{path}: ") for line in err.value.errors)
+
     def test_bad_schedule_player(self):
         doc = _doc("penny_flip")
         doc["sequential"]["schedule"] = ["Q", "Z", "Q"]
