@@ -84,16 +84,14 @@ PHI_MINUS = np.array([1, 0, 0, -1]) / _SQRT2
 
 def eta_basis() -> MeasurementBasis:
     labels = ((0, 0), (0, 1), (1, 0), (1, 1))
-    projectors = [np.outer(ETA_VECTORS[p], ETA_VECTORS[p].conj()) for p in labels]
-    return MeasurementBasis(np.asarray(projectors), labels)
+    return MeasurementBasis(np.column_stack([ETA_VECTORS[p] for p in labels]), labels)
 
 
 def bell_basis() -> MeasurementBasis:
-    """Bell projectors labelled by plays in the order Φ⁺, Ψ⁺, Ψ⁻, Φ⁻."""
+    """Bell vectors labelled by plays in the order Φ⁺, Ψ⁺, Ψ⁻, Φ⁻."""
     vectors = (PHI_PLUS, PSI_PLUS, PSI_MINUS, PHI_MINUS)
     labels = ((0, 0), (0, 1), (1, 0), (1, 1))
-    projectors = [np.outer(v, v.conj()) for v in vectors]
-    return MeasurementBasis(np.asarray(projectors), labels)
+    return MeasurementBasis(np.column_stack(vectors), labels)
 
 
 class CatalogVerificationError(ValidationError):

@@ -19,7 +19,9 @@ significant digits everywhere.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import os
 import sys
 from dataclasses import dataclass, field
 
@@ -359,12 +361,11 @@ def _cmd_quantumize(args) -> tuple[Report, int]:
         }
         for i in range(game.players)
     ]
+    ops = qg.payoff_operators
     worst = 0.0
     for i in range(game.players):
         for j in range(i + 1, game.players):
-            worst = max(
-                worst, commutator_norm(qg.payoff_operators[i], qg.payoff_operators[j])
-            )
+            worst = max(worst, commutator_norm(ops[i], ops[j]))
     purity = float(np.trace(qg.initial_state.matrix @ qg.initial_state.matrix).real)
     results = {
         "dimension": qg.dim,
@@ -695,7 +696,16 @@ def run(argv=None, stream=None) -> tuple["Report | None", int]:
 
 
 def main(argv=None) -> int:
-    _, code = run(argv)
+    try:
+        _, code = run(argv)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader stopped early (``qgames export ... | head``); send what
+        # is still buffered to devnull so the exit flush cannot fail again
+        with contextlib.suppress(OSError, ValueError):
+            stdout_fd = sys.stdout.fileno()
+            os.dup2(os.open(os.devnull, os.O_WRONLY), stdout_fd)
+        return 0
     return code
 
 

@@ -35,6 +35,7 @@ from .quantum import TOL, DensityMatrix, UnitaryOperator, dagger
 from .quantumize import (
     OperatorMixture,
     QuantumGame,
+    _apply_local,
     expected_payoffs_mixed,
     expected_payoffs_q,
 )
@@ -101,7 +102,7 @@ class _LocalPayoff:
 
     def __init__(self, qg: QuantumGame, player: int, others: Mapping[int, np.ndarray]):
         n = qg.base.players
-        fixed = {}
+        rho = qg.initial_state.matrix
         for j in range(n):
             if j == player:
                 continue
@@ -114,28 +115,18 @@ class _LocalPayoff:
                     f"fixed operator for player {j} has dimension {m.shape[0]}, "
                     f"expected {qg.local_dims[j]}"
                 )
-            fixed[j] = m
+            rho = _apply_local(rho, m, j, qg.local_dims)
+        # with ρ' the state after the fixed operators and the player's ket
+        # and bra axes moved to the front, T[a,b,c,d] = Tr[e_ab ρ' e_cd† π̂]
+        # = Σ_{X,Y} ρ'[(b,X),(d,Y)]·π̂[(c,Y),(a,X)]
         d = qg.local_dims[player]
-        slots = []
-        for a in range(d):
-            for b in range(d):
-                unit = np.zeros((d, d), dtype=complex)
-                unit[a, b] = 1.0
-                factors = [unit if j == player else fixed[j] for j in range(n)]
-                joint = factors[0]
-                for f in factors[1:]:
-                    joint = np.kron(joint, f)
-                slots.append(joint)
-        rho = qg.initial_state.matrix
-        pihat = qg.payoff_operators[player]
-        k = len(slots)
-        coeff = np.empty((k, k), dtype=complex)
-        for i, ci in enumerate(slots):
-            left = ci @ rho
-            for j, cj in enumerate(slots):
-                coeff[i, j] = np.trace(left @ dagger(cj) @ pihat)
+        v = qg.basis.unitary
+        pihat = (v * qg.payoff_vectors[player]) @ dagger(v)
+        front, shape = (player, n + player), (d, d, qg.dim // d, qg.dim // d)
+        rho = np.moveaxis(rho.reshape(qg.local_dims * 2), front, (0, 1)).reshape(shape)
+        pihat = np.moveaxis(pihat.reshape(qg.local_dims * 2), front, (0, 1)).reshape(shape)
         self.dim = d
-        self.coeff = coeff.reshape(d, d, d, d)
+        self.coeff = np.einsum("bdxy,cayx->abcd", rho, pihat)
 
     def value(self, u: np.ndarray) -> float:
         return float(np.einsum("ab,cd,abcd->", u, u.conj(), self.coeff).real)
@@ -394,12 +385,7 @@ def forcing_response(qg: QuantumGame, player: int, opponent) -> np.ndarray:
     best_play = max(
         qg.basis.labels, key=lambda play: qg.base.payoffs[player][play]
     )
-    idx = qg.basis.labels.index(best_play)
-    projector = qg.basis.projectors[idx]
-    vals, vecs = np.linalg.eigh(projector)
-    target = vecs[:, -1]
-    if vals[-1] < 1.0 - 1e-9:
-        raise UnsupportedError("target projector is not rank one")
+    target = qg.basis.unitary[:, qg.basis.labels.index(best_play)]
     start_factor = _entangling_factor(psi_in)
     target_factor = _entangling_factor(target)
     if player == 1:

@@ -42,8 +42,8 @@ import numpy as np
 
 from .catalog import ETA_IN, PHI_PLUS, CatalogEntry, bell_basis, eta_basis
 from .classical import ClassicalGame
-from .errors import GameFileError, QGamesError
-from .quantum import DensityMatrix, MeasurementBasis, UnitaryOperator
+from .errors import DimensionLimitError, GameFileError, QGamesError
+from .quantum import DIM_CAP, DensityMatrix, MeasurementBasis, UnitaryOperator
 from .quantumize import (
     QuantumGame,
     SequentialQuantumGame,
@@ -104,7 +104,7 @@ def _complex_entry(value, path: str, errs: _Collector) -> complex:
     if (
         isinstance(value, (list, tuple))
         and len(value) == 2
-        and all(isinstance(x, (int, float)) for x in value)
+        and all(_is_finite_number(x) for x in value)
     ):
         return complex(value[0], value[1])
     errs.add(path, f"expected an [re, im] pair, got {value!r}")
@@ -213,7 +213,13 @@ class GameFile:
         else:
             labels, projectors = basis_spec
             plays = tuple(self.parse_play(lbl) for lbl in labels)
-            basis = MeasurementBasis(projectors, plays)
+            if len(set(plays)) != len(plays):
+                raise GameFileError(["quantum.basis.labels: two labels name the same play"])
+            try:
+                basis = MeasurementBasis.from_projectors(projectors, plays)
+            except QGamesError as exc:
+                # every projector error starts with its own "projectors[i]" path
+                raise GameFileError([f"quantum.basis.{exc}"]) from None
         return build_ewl(game, state, basis)
 
     def sequential_game(self) -> SequentialQuantumGame:
@@ -272,17 +278,24 @@ def _parse_quantum(section, strategy_sets, errs: _Collector) -> QuantumSection |
     elif isinstance(basis, dict):
         labels = basis.get("labels")
         projectors = basis.get("projectors")
+        dim = math.prod(len(s) for s in strategy_sets)
         if not isinstance(labels, list) or not isinstance(projectors, list):
             errs.add("quantum.basis", "explicit basis needs labels and projectors")
             basis = "computational"
-        else:
-            stack = np.asarray(
-                [
-                    _complex_matrix(p, f"quantum.basis.projectors[{i}]", errs)
-                    for i, p in enumerate(projectors)
-                ]
+        elif len(labels) != dim or len(projectors) != dim:
+            errs.add(
+                "quantum.basis",
+                f"{len(labels)} labels and {len(projectors)} projectors for {dim} plays",
             )
-            basis = (tuple(str(l) for l in labels), stack)
+            basis = "computational"
+        else:
+            mats = []
+            for i, p in enumerate(projectors):
+                path = f"quantum.basis.projectors[{i}]"
+                mats.append(_complex_matrix(p, path, errs))
+                if mats[-1].shape != (dim, dim):
+                    errs.add(path, f"expected a {dim}x{dim} matrix, got shape {mats[-1].shape}")
+            basis = (tuple(str(l) for l in labels), mats)
     else:
         errs.add("quantum.basis", "expected a name or an object")
         basis = "computational"
@@ -457,6 +470,11 @@ def parse_game_file(source: "str | Path") -> GameFile:
         player_names = tuple(f"P{i + 1}" for i in range(n))
 
     shape = tuple(len(s) for s in strategy_sets)
+    if math.prod(shape) > DIM_CAP:
+        # checked before any per-play array is built
+        raise DimensionLimitError(
+            f"strategy_sets: {math.prod(shape)} plays exceed the dimension cap {DIM_CAP}"
+        )
     raw_payoffs = doc.get("payoffs")
     tensors = []
     if not isinstance(raw_payoffs, list) or len(raw_payoffs) != n:
@@ -465,7 +483,7 @@ def parse_game_file(source: "str | Path") -> GameFile:
         for i, tensor in enumerate(raw_payoffs):
             try:
                 arr = np.asarray(tensor, dtype=float)
-            except (TypeError, ValueError):
+            except (TypeError, ValueError, OverflowError):
                 errs.add(f"payoffs[{i}]", "not a numeric tensor")
                 continue
             if arr.shape != shape:
@@ -553,9 +571,10 @@ def export_entry(entry: CatalogEntry) -> dict:
                 ref = builder()
             except QGamesError:
                 continue
-            if ref.dim == quantum.basis.dim and np.allclose(
-                ref.projectors, quantum.basis.projectors, atol=1e-12
-            ) and ref.labels == quantum.basis.labels:
+            # the same vectors up to a phase per column
+            if ref.labels == quantum.basis.labels and np.allclose(
+                np.abs(np.sum(ref.unitary.conj() * quantum.basis.unitary, axis=0)), 1.0, atol=1e-12
+            ):
                 basis_name = candidate
                 break
         section: dict = {
@@ -601,9 +620,7 @@ def export_entry(entry: CatalogEntry) -> dict:
             "initial_state": named if named else _matrix_json(state),
             "moves": perms,
             "schedule": [players[i] for i in sg.move_schedule],
-            "state_payoffs": [
-                [float(x) for x in np.diag(op).real] for op in sg.payoff_operators
-            ],
+            "state_payoffs": sg.payoff_vectors.tolist(),
         }
     return doc
 

@@ -1,9 +1,11 @@
-"""Dense complex linear algebra for finite-dimensional quantum systems.
+"""Complex linear algebra for finite-dimensional quantum systems.
 
 States, projective measurement, unitary evolution, Kraus channels and
-composite systems, built on plain numpy complex matrices. Problem sizes in
-this package are tiny (composite dimensions of a few to a few dozen), so
-everything is stored dense and unstructured.
+composite systems, built on plain numpy complex matrices. A rank-one
+measurement basis is stored as the unitary whose columns are its vectors,
+so checking it costs one D×D product and measuring costs diag(V†ρV).
+Composite dimensions go up to ``DIM_CAP``; callers that act on one tensor
+factor at a time (``quantumize``) never form the D×D Kronecker products.
 
 All values are immutable after construction and every operation is a pure
 function of its inputs; outcome sampling threads an explicit generator.
@@ -26,8 +28,8 @@ from .errors import (
 #: Default absolute tolerance for all invariant checks, overridable per call.
 TOL = 1e-9
 
-#: Default cap on composite dimensions produced by tensor products. Keeps
-#: dense eigenvalue checks well below a second.
+#: Default cap on composite dimensions: tensor products and the play count
+#: of a quantumized game.
 DIM_CAP = 4096
 
 
@@ -90,11 +92,16 @@ def _require_square(m: np.ndarray, what: str = "matrix") -> np.ndarray:
     return m
 
 
+def _gram_defect(m: np.ndarray) -> tuple[float, int, int]:
+    """Largest entry of ``|m†m − I|`` and its position."""
+    dev = np.abs(dagger(m) @ m - np.eye(m.shape[1]))
+    i, j = np.unravel_index(np.argmax(dev), dev.shape)
+    return float(dev[i, j]), int(i), int(j)
+
+
 def is_unitary(m, tol: float = TOL) -> bool:
     """True iff ``m†m`` deviates from the identity by at most ``tol`` per entry."""
-    m = _require_square(m)
-    dev = dagger(m) @ m - np.eye(m.shape[0])
-    return float(np.abs(dev).max()) <= tol
+    return _gram_defect(_require_square(m))[0] <= tol
 
 
 def is_hermitian(m, tol: float = TOL) -> bool:
@@ -182,8 +189,11 @@ class UnitaryOperator:
 
     def __post_init__(self, tol):
         m = _require_square(self.matrix, "unitary")
-        if not is_unitary(m, tol):
-            raise ValidationError("operator is not unitary within tolerance")
+        dev = _gram_defect(m)[0]
+        if dev > tol:
+            raise ValidationError(
+                f"operator is not unitary: max |U†U − I| = {dev:.3g} > tol {tol:g}"
+            )
         object.__setattr__(self, "matrix", _frozen(m))
 
     @property
@@ -198,52 +208,86 @@ def _operator_matrix(op) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class MeasurementBasis:
-    """Complete set of orthonormal projectors with distinct outcome labels.
+    """Rank-one projective measurement with distinct outcome labels.
 
-    ``projectors`` is stored as a (k, d, d) stack; ``labels[i]`` names the
-    outcome of ``projectors[i]``. Labels may be any hashable values (plays of
-    a game are tuples of strategy indices).
+    ``unitary`` is a d×d unitary V whose column ``k`` is the measurement
+    vector of outcome ``labels[k]``; its projector is ``|v_k⟩⟨v_k|``. Labels
+    may be any hashable values (plays of a game are tuples of strategy
+    indices).
     """
 
-    projectors: np.ndarray
+    unitary: np.ndarray
     labels: tuple
     tol: InitVar[float] = TOL
 
     def __post_init__(self, tol):
-        stack = np.asarray(
-            [_require_square(p, "projector") for p in self.projectors], dtype=complex
-        )
+        v = _require_square(self.unitary, "basis unitary")
         labels = tuple(self.labels)
-        if len(labels) != stack.shape[0]:
-            raise ShapeError(
-                f"{stack.shape[0]} projectors but {len(labels)} labels"
-            )
+        if len(labels) != v.shape[1]:
+            raise ShapeError(f"{v.shape[1]} basis vectors but {len(labels)} labels")
         if len(set(labels)) != len(labels):
             raise ValidationError("outcome labels must be distinct")
-        d = stack.shape[1]
-        # Hermitian + mutually orthogonal idempotents: Πi Πj = δij Πi
-        products = np.einsum("aij,bjk->abik", stack, stack)
-        expected = np.zeros_like(products)
-        idx = np.arange(stack.shape[0])
-        expected[idx, idx] = stack
-        if float(np.abs(products - expected).max()) > tol:
-            raise ValidationError("projectors are not orthonormal idempotents")
-        for p in stack:
-            if not is_hermitian(p, tol):
-                raise ValidationError("projectors must be Hermitian")
-        if float(np.abs(stack.sum(axis=0) - np.eye(d)).max()) > tol:
-            raise ValidationError("projectors do not sum to the identity")
-        stack.setflags(write=False)
-        object.__setattr__(self, "projectors", stack)
+        dev, i, j = _gram_defect(v)
+        if dev > tol:
+            raise ValidationError(
+                f"basis vectors are not orthonormal: "
+                f"|(V†V − I)[{i},{j}]| = {dev:.3g} > tol {tol:g}"
+            )
+        object.__setattr__(self, "unitary", _frozen(v))
         object.__setattr__(self, "labels", labels)
+
+    @classmethod
+    def from_projectors(cls, projectors, labels, tol: float = TOL) -> "MeasurementBasis":
+        """The basis of a complete set of rank-one projectors, one per label.
+
+        Each vector is read off its projector's column with the largest
+        diagonal entry, and must rebuild the projector, whose trace is 1,
+        within ``tol``.
+        """
+        stack = np.asarray(projectors, dtype=complex)
+        if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
+            raise ShapeError(f"projectors: expected a (k, d, d) stack, got shape {stack.shape}")
+        k, d, _ = stack.shape
+        if k != d:
+            raise ValidationError(
+                f"projectors: {k} given in dimension {d}; a complete rank-one set has {d}"
+            )
+        vectors = np.zeros((d, d), dtype=complex)
+        for i, p in enumerate(stack):
+            col = int(np.argmax(p.diagonal().real))
+            weight = p[col, col].real
+            if weight > 0:
+                vectors[:, i] = p[:, col] / np.sqrt(weight)
+            dev = float(np.abs(np.outer(vectors[:, i], vectors[:, i].conj()) - p).max())
+            dev = max(dev, abs(complex(np.trace(p)) - 1.0))
+            if dev > tol:
+                raise ValidationError(
+                    f"projectors[{i}]: not a rank-one projector, "
+                    f"max(|v v† − Π|, |Tr Π − 1|) = {dev:.3g} > tol {tol:g}"
+                )
+        dev, i, j = _gram_defect(vectors)
+        if dev > tol:
+            raise ValidationError(
+                f"projectors[{max(i, j)}]: not orthonormal, "
+                f"|(V†V − I)[{i},{j}]| = {dev:.3g} > tol {tol:g}"
+            )
+        return cls(vectors, labels, tol)
+
+    @property
+    def projectors(self) -> np.ndarray:
+        """The (d, d, d) stack ``|v_k⟩⟨v_k|``, in label order (built on each call)."""
+        v = self.unitary
+        out = np.einsum("ak,bk->kab", v, v.conj())
+        out.setflags(write=False)
+        return out
 
     @property
     def dim(self) -> int:
-        return self.projectors.shape[1]
+        return self.unitary.shape[0]
 
     @property
     def size(self) -> int:
-        return self.projectors.shape[0]
+        return self.unitary.shape[1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -262,8 +306,11 @@ class KrausChannel:
             raise ShapeError("channel needs at least one Kraus operator")
         d = stack.shape[1]
         total = np.einsum("kji,kjl->il", stack.conj(), stack)
-        if float(np.abs(total - np.eye(d)).max()) > tol:
-            raise ChannelError("Kraus operators do not preserve trace (Σ E†E ≠ I)")
+        dev = float(np.abs(total - np.eye(d)).max())
+        if dev > tol:
+            raise ChannelError(
+                f"Kraus operators do not preserve trace: max |Σ E†E − I| = {dev:.3g} > tol {tol:g}"
+            )
         stack.setflags(write=False)
         object.__setattr__(self, "operators", stack)
 
@@ -302,9 +349,11 @@ def apply_channel(rho: DensityMatrix, ch: KrausChannel, tol: float = TOL) -> Den
 
 
 def outcome_probabilities(rho: DensityMatrix, basis: MeasurementBasis) -> np.ndarray:
-    """Probabilities ``p(o) = Tr[Π_o ρ]`` for each outcome, in label order."""
+    """Probabilities ``p(o) = ⟨v_o|ρ|v_o⟩`` for each outcome, in label order:
+    the diagonal of ``V†ρV``."""
     _check_dims(rho, basis.dim, "basis")
-    return np.einsum("kij,ji->k", basis.projectors, rho.matrix).real
+    v = basis.unitary
+    return np.einsum("ak,ak->k", v.conj(), rho.matrix @ v).real
 
 
 def measure(
@@ -313,19 +362,14 @@ def measure(
     """Projective measurement of ``rho``.
 
     Returns one entry per outcome with its probability and the collapsed
-    post-measurement state ``Π ρ Π / p``. Outcomes with probability at or
-    below ``tol`` carry no post-state (the collapse is undefined at p = 0).
+    post-measurement state ``Π ρ Π / p``, which for a rank-one projector is
+    ``|v⟩⟨v|``. Outcomes with probability at or below ``tol`` carry no
+    post-state (the collapse is undefined at p = 0).
     """
     probs = outcome_probabilities(rho, basis)
     results = []
-    for label, proj, p in zip(basis.labels, basis.projectors, probs):
-        post = None
-        if p > tol:
-            m = proj @ rho.matrix @ proj / p
-            # dividing by a small p amplifies float noise in the eigenvalues;
-            # widen the check accordingly so valid collapses always construct
-            post_tol = max(tol, 64 * np.finfo(float).eps / p)
-            post = DensityMatrix(m, post_tol)
+    for label, v, p in zip(basis.labels, basis.unitary.T, probs):
+        post = PureState(v, tol).to_density() if p > tol else None
         results.append(MeasurementOutcome(label, float(p), post))
     return results
 

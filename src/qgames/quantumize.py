@@ -5,52 +5,53 @@ Two constructions are provided:
 * the parallel protocol: one quantum subsystem per player, dimension equal
   to that player's strategy count; a judge prepares a (generally entangled)
   joint state, every player applies a local unitary, and the judge measures
-  in a basis with one projector per pure play. Expected payoffs come from
-  commuting per-player payoff operators ``π̂_i = Σ_P π_i(P) Π_P`` via
-  ``Tr[U ρ U† π̂_i]``.
+  in a rank-one basis V with one vector per pure play. The payoff operators
+  ``π̂_i = Σ_P π_i(P) Π_P`` all share V as eigenbasis, so each is stored as
+  its payoff vector over the plays, and expected payoffs are
+  ``Σ_P π_i(P)·⟨v_P|ρ_f|v_P⟩``.
 
 * the sequential protocol: all players act in turn on one shared system
-  whose basis states are the classical states of the game; payoff operators
-  are diagonal in that basis and the applied unitaries compose in move
+  whose basis states are the classical states of the game; payoffs are
+  vectors over those states and the applied unitaries compose in move
   order.
 
-Mixed quantum plays are probabilistic mixtures of unitaries per player; the
-induced product Kraus channel is applied to the initial state before the
-payoff operators are evaluated.
+Each player's unitary, or mixture of unitaries, acts on that player's
+tensor factor of the state alone (a product batched over the reshaped
+density matrix), so no Kronecker product of the local operators is formed.
 """
 from __future__ import annotations
 
 import itertools
-from dataclasses import InitVar, dataclass
-from typing import Mapping, Sequence
+import math
+from dataclasses import InitVar, dataclass, field
+from typing import Hashable, Mapping, Sequence
 
 import numpy as np
 
 from .classical import ClassicalGame, Play
-from .errors import ShapeError, ValidationError
+from .errors import DimensionLimitError, ShapeError, ValidationError
 from .quantum import (
+    DIM_CAP,
     TOL,
     DensityMatrix,
     KrausChannel,
     MeasurementBasis,
     UnitaryOperator,
-    apply_channel,
-    commutator_norm,
     dagger,
-    is_hermitian,
     outcome_probabilities,
     tensor_all,
 )
 
 
+def _standard_basis(labels: Sequence[Hashable]) -> MeasurementBasis:
+    if len(labels) > DIM_CAP:
+        raise DimensionLimitError(f"{len(labels)} basis states exceed the dimension cap {DIM_CAP}")
+    return MeasurementBasis(np.eye(len(labels)), tuple(labels))
+
+
 def computational_basis(game: ClassicalGame) -> MeasurementBasis:
-    """Projectors onto the joint computational basis, labelled by plays in
-    lexicographic order."""
-    dim = int(np.prod(game.shape))
-    projectors = np.zeros((dim, dim, dim), dtype=complex)
-    for k in range(dim):
-        projectors[k, k, k] = 1.0
-    return MeasurementBasis(projectors, tuple(game.plays()))
+    """The joint computational basis, labelled by plays in lexicographic order."""
+    return _standard_basis(list(game.plays()))
 
 
 def play_index(game: ClassicalGame, play: Play) -> int:
@@ -65,17 +66,17 @@ def play_index(game: ClassicalGame, play: Play) -> int:
 class QuantumGame:
     """A quantumized finite game.
 
-    ``payoff_operators`` is an (n, d, d) stack, Hermitian and mutually
-    commuting since all share the measurement basis as eigenbasis.
+    ``payoff_vectors[i, k]`` is player ``i``'s payoff at the play
+    ``basis.labels[k]``: the eigenvalue of their payoff operator on the
+    basis vector ``k``.
     """
 
     base: ClassicalGame
     initial_state: DensityMatrix
     basis: MeasurementBasis
-    payoff_operators: np.ndarray
-    tol: InitVar[float] = TOL
+    payoff_vectors: np.ndarray = field(init=False)
 
-    def __post_init__(self, tol):
+    def __post_init__(self):
         dim = int(np.prod(self.base.shape))
         if self.initial_state.dim != dim:
             raise ShapeError(
@@ -86,21 +87,10 @@ class QuantumGame:
             raise ShapeError("basis dimension does not match the play count")
         if set(self.basis.labels) != set(self.base.plays()):
             raise ValidationError("basis labels must biject with the plays of the game")
-        stack = np.asarray(self.payoff_operators, dtype=complex)
-        if stack.shape != (self.base.players, dim, dim):
-            raise ShapeError(
-                f"payoff operator stack has shape {stack.shape}, "
-                f"expected {(self.base.players, dim, dim)}"
-            )
-        for i, op in enumerate(stack):
-            if not is_hermitian(op, tol):
-                raise ValidationError(f"payoff operator {i} is not Hermitian")
-        for i, j in itertools.combinations(range(len(stack)), 2):
-            if commutator_norm(stack[i], stack[j]) > tol:
-                raise ValidationError(f"payoff operators {i} and {j} do not commute")
-        stack = stack.copy()
-        stack.setflags(write=False)
-        object.__setattr__(self, "payoff_operators", stack)
+        at_labels = tuple(np.array(self.basis.labels).T)
+        vectors = np.array([t[at_labels] for t in self.base.payoffs], dtype=float)
+        vectors.setflags(write=False)
+        object.__setattr__(self, "payoff_vectors", vectors)
 
     @property
     def dim(self) -> int:
@@ -110,36 +100,29 @@ class QuantumGame:
     def local_dims(self) -> tuple[int, ...]:
         return self.base.shape
 
+    @property
+    def payoff_operators(self) -> np.ndarray:
+        """The (n, d, d) stack ``π̂_i = V diag(payoff_vectors[i]) V†`` (built on each call)."""
+        v = self.basis.unitary
+        return np.einsum("ak,ik,bk->iab", v, self.payoff_vectors, v.conj())
+
     def payoff_eigenvalues(self) -> list[dict[Play, float]]:
         """Per player, the payoff carried by each basis label (the spectrum
         of that player's operator together with its eigenbasis labels)."""
-        return [
-            {label: float(self.base.payoffs[i][label]) for label in self.basis.labels}
-            for i in range(self.base.players)
-        ]
+        return [dict(zip(self.basis.labels, map(float, row))) for row in self.payoff_vectors]
 
 
 def build_ewl(
     base: ClassicalGame,
     initial_state: DensityMatrix,
     basis: MeasurementBasis | None = None,
-    tol: float = TOL,
 ) -> QuantumGame:
-    """Quantumize ``base``: attach an initial state, a play-labelled
-    measurement basis (computational by default) and the payoff operators
-    built from its spectral data ``π̂_i = Σ_P π_i(P) Π_P``."""
+    """Quantumize ``base``: attach an initial state and a play-labelled
+    measurement basis (computational by default); the payoff operators
+    ``π̂_i = Σ_P π_i(P) Π_P`` are the payoff vectors on that basis."""
     if basis is None:
         basis = computational_basis(base)
-    dim = int(np.prod(base.shape))
-    if basis.dim != dim or initial_state.dim != dim:
-        raise ShapeError("state/basis dimensions do not match the play count")
-    if set(basis.labels) != set(base.plays()):
-        raise ValidationError("basis labels must cover every play exactly once")
-    operators = np.empty((base.players, dim, dim), dtype=complex)
-    for i in range(base.players):
-        values = np.array([base.payoffs[i][label] for label in basis.labels])
-        operators[i] = np.einsum("k,kab->ab", values, basis.projectors)
-    return QuantumGame(base, initial_state, basis, operators, tol)
+    return QuantumGame(base, initial_state, basis)
 
 
 def _local_matrices(qg: QuantumGame, play: Sequence) -> list[np.ndarray]:
@@ -160,20 +143,34 @@ def _local_matrices(qg: QuantumGame, play: Sequence) -> list[np.ndarray]:
     return mats
 
 
+def _apply_local(rho: np.ndarray, op: np.ndarray, player: int, dims: Sequence[int]) -> np.ndarray:
+    """``K ρ K†`` for ``K = I ⊗ op ⊗ I`` acting on ``player``'s factor of
+    the composite ``dims``. ``K σ`` is one product batched over the factors
+    before ``player``, and ``σ K† = (K σ†)†``."""
+    left = math.prod(dims[:player])
+
+    def on_ket(m):
+        return (op @ m.reshape(left, dims[player], -1)).reshape(m.shape)
+
+    return dagger(on_ket(dagger(on_ket(rho))))
+
+
 def joint_unitary(qg: QuantumGame, play: Sequence) -> np.ndarray:
     """The combined local operation ``U_1 ⊗ ... ⊗ U_n`` of a quantum play."""
     return tensor_all(_local_matrices(qg, play))
 
 
 def final_state(qg: QuantumGame, play: Sequence) -> DensityMatrix:
-    u = joint_unitary(qg, play)
-    return DensityMatrix(u @ qg.initial_state.matrix @ dagger(u))
+    """``(U_1 ⊗ ... ⊗ U_n) ρ (U_1 ⊗ ... ⊗ U_n)†``, one factor at a time."""
+    rho = qg.initial_state.matrix
+    for i, u in enumerate(_local_matrices(qg, play)):
+        rho = _apply_local(rho, u, i, qg.local_dims)
+    return DensityMatrix(rho)
 
 
 def expected_payoffs_q(qg: QuantumGame, play: Sequence) -> np.ndarray:
     """Expected payoffs ``Tr[U ρ U† π̂_i]`` of a pure quantum play."""
-    rho_f = final_state(qg, play).matrix
-    return np.einsum("ab,iba->i", rho_f, qg.payoff_operators).real
+    return qg.payoff_vectors @ outcome_probabilities(final_state(qg, play), qg.basis)
 
 
 def outcome_distribution(qg: QuantumGame, play: Sequence) -> list[tuple[Play, float]]:
@@ -236,24 +233,31 @@ def product_channel(mixtures: Sequence[OperatorMixture], tol: float = TOL) -> Kr
     return KrausChannel(np.asarray(kraus), tol)
 
 
-def expected_payoffs_mixed(qg: QuantumGame, mixtures: Sequence[OperatorMixture]) -> np.ndarray:
-    """Expected payoffs of a mixed quantum play (per-player unitary mixtures)."""
+def mixed_final_state(qg: QuantumGame, mixtures: Sequence[OperatorMixture]) -> DensityMatrix:
+    """The state after every player's mixture: ``ρ → Σ_k p_k U_k ρ U_k†`` on
+    each player's factor in turn."""
     mixtures = list(mixtures)
     if len(mixtures) != qg.base.players:
         raise ShapeError(
             f"{len(mixtures)} mixtures for {qg.base.players} players"
         )
+    rho = qg.initial_state.matrix
     for i, m in enumerate(mixtures):
         if m.dim != qg.local_dims[i]:
             raise ShapeError(
                 f"mixture for player {i} has dimension {m.dim}, expected {qg.local_dims[i]}"
             )
-    rho_f = apply_channel(qg.initial_state, product_channel(mixtures))
-    return np.einsum("ab,iba->i", rho_f.matrix, qg.payoff_operators).real
+        rho = sum(
+            p * _apply_local(rho, u.matrix, i, qg.local_dims)
+            for p, u in zip(m.probabilities, m.operators)
+            if p > 0.0
+        )
+    return DensityMatrix(rho)
 
 
-def mixed_final_state(qg: QuantumGame, mixtures: Sequence[OperatorMixture]) -> DensityMatrix:
-    return apply_channel(qg.initial_state, product_channel(list(mixtures)))
+def expected_payoffs_mixed(qg: QuantumGame, mixtures: Sequence[OperatorMixture]) -> np.ndarray:
+    """Expected payoffs of a mixed quantum play (per-player unitary mixtures)."""
+    return qg.payoff_vectors @ outcome_probabilities(mixed_final_state(qg, mixtures), qg.basis)
 
 
 # ---------------------------------------------------------------------------
@@ -277,15 +281,16 @@ class SequentialQuantumGame:
 
     ``state_labels`` name the classical states (the measurement basis);
     ``classical_moves`` maps move names to permutation unitaries on that
-    basis; ``move_schedule`` lists which player acts at each turn; payoff
-    operators are diagonal in the state basis.
+    basis; ``move_schedule`` lists which player acts at each turn;
+    ``payoff_vectors[i, j]`` is player ``i``'s payoff in state ``j``, the
+    diagonal of their payoff operator in the state basis.
     """
 
     state_labels: tuple[str, ...]
     initial_state: DensityMatrix
     move_schedule: tuple[int, ...]
     classical_moves: Mapping[str, UnitaryOperator]
-    payoff_operators: np.ndarray
+    payoff_vectors: np.ndarray
     player_names: tuple[str, ...] | None = None
     tol: InitVar[float] = TOL
 
@@ -308,18 +313,17 @@ class SequentialQuantumGame:
                     f"classical move {name!r} is not a permutation of the states"
                 )
             moves[str(name)] = u
-        stack = np.asarray(self.payoff_operators, dtype=complex)
-        if stack.ndim != 3 or stack.shape[1:] != (k, k):
-            raise ShapeError(f"payoff operator stack has shape {stack.shape}")
-        for i, op in enumerate(stack):
-            if float(np.abs(op - np.diag(np.diag(op))).max()) > tol:
-                raise ValidationError(f"payoff operator {i} is not diagonal in the state basis")
-            if float(np.abs(np.diag(op).imag).max()) > tol:
-                raise ValidationError(f"payoff operator {i} has complex payoffs")
+        payoffs = np.array(self.payoff_vectors, dtype=float)
+        if payoffs.ndim != 2 or payoffs.shape[1] != k:
+            raise ShapeError(
+                f"state payoffs have shape {payoffs.shape}, expected (players, {k})"
+            )
+        if not np.all(np.isfinite(payoffs)):
+            raise ValidationError("state payoffs must be finite")
         schedule = tuple(int(p) for p in self.move_schedule)
         if not schedule:
             raise ValidationError("move schedule must be nonempty")
-        n = stack.shape[0]
+        n = payoffs.shape[0]
         if any(p < 0 or p >= n for p in schedule):
             raise ValidationError(
                 f"move schedule references players outside 0..{n - 1}"
@@ -329,11 +333,10 @@ class SequentialQuantumGame:
             names = tuple(str(x) for x in names)
             if len(names) != n:
                 raise ShapeError("player_names length does not match payoff count")
-        stack = stack.copy()
-        stack.setflags(write=False)
+        payoffs.setflags(write=False)
         object.__setattr__(self, "state_labels", labels)
         object.__setattr__(self, "classical_moves", moves)
-        object.__setattr__(self, "payoff_operators", stack)
+        object.__setattr__(self, "payoff_vectors", payoffs)
         object.__setattr__(self, "move_schedule", schedule)
         object.__setattr__(self, "player_names", names)
 
@@ -343,7 +346,7 @@ class SequentialQuantumGame:
 
     @property
     def players(self) -> int:
-        return self.payoff_operators.shape[0]
+        return self.payoff_vectors.shape[0]
 
 
 def build_sequential(
@@ -358,21 +361,14 @@ def build_sequential(
     """Assemble a sequential game from per-player payoff vectors over states.
 
     ``state_payoffs[i][j]`` is player ``i``'s payoff when the final
-    measurement finds state ``j``; the diagonal payoff operators are built
-    from these.
+    measurement finds state ``j``.
     """
-    payoffs = np.asarray(state_payoffs, dtype=float)
-    if payoffs.ndim != 2 or payoffs.shape[1] != len(state_labels):
-        raise ShapeError(
-            f"state payoffs have shape {payoffs.shape}, expected (players, {len(state_labels)})"
-        )
-    operators = np.asarray([np.diag(row.astype(complex)) for row in payoffs])
     return SequentialQuantumGame(
         tuple(state_labels),
         initial_state,
         tuple(schedule),
         dict(classical_moves),
-        operators,
+        state_payoffs,
         tuple(player_names) if player_names is not None else None,
         tol,
     )
@@ -380,11 +376,7 @@ def build_sequential(
 
 def sequential_basis(sg: SequentialQuantumGame) -> MeasurementBasis:
     """The state-label measurement basis of a sequential game."""
-    k = sg.dim
-    projectors = np.zeros((k, k, k), dtype=complex)
-    for j in range(k):
-        projectors[j, j, j] = 1.0
-    return MeasurementBasis(projectors, sg.state_labels)
+    return _standard_basis(sg.state_labels)
 
 
 def play_sequential(sg: SequentialQuantumGame, moves: Sequence) -> np.ndarray:
@@ -405,5 +397,5 @@ def play_sequential(sg: SequentialQuantumGame, moves: Sequence) -> np.ndarray:
         if m.shape[0] != sg.dim:
             raise ShapeError(f"move dimension {m.shape[0]} does not match game dimension {sg.dim}")
         total = m @ total
-    rho_f = total @ sg.initial_state.matrix @ dagger(total)
-    return np.einsum("ab,iba->i", rho_f, sg.payoff_operators).real
+    probs = np.einsum("ab,ab->a", total @ sg.initial_state.matrix, total.conj()).real
+    return sg.payoff_vectors @ probs

@@ -29,7 +29,7 @@ def random_projective_basis(rng: np.random.Generator, labels) -> MeasurementBasi
     projectors = np.asarray(
         [np.outer(u[:, k], u[:, k].conj()) for k in range(len(labels))]
     )
-    return MeasurementBasis(projectors, tuple(labels))
+    return MeasurementBasis.from_projectors(projectors, tuple(labels))
 
 
 def random_game(

@@ -1,4 +1,5 @@
 """Command-line interface: subcommands, exit codes, report determinism."""
+import io
 import json
 
 import numpy as np
@@ -350,3 +351,77 @@ class TestDeterminismAndErrors:
         assert code == 0 and report is None
         doc = json.loads(out)
         assert doc["schema_version"] == 1
+
+
+def _qubit_game(path, n):
+    rng = np.random.default_rng(n)
+    doc = {
+        "schema_version": 1,
+        "strategy_sets": [["0", "1"]] * n,
+        "payoffs": [rng.integers(0, 5, size=(2,) * n).tolist() for _ in range(n)],
+        "quantum": {"initial_state": "computational:" + "0" * n, "family": {"kind": "one_param"}},
+    }
+    path.write_text(json.dumps(doc))
+    return str(path), doc
+
+
+class TestInputLimits:
+    def test_huge_payoff_is_input_error(self, game_files, tmp_path, capsys):
+        with open(game_files["prisoners_dilemma"], encoding="utf-8") as fh:
+            doc = json.load(fh)
+        doc["payoffs"][0][0][0] = 10**400
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc))
+        _, code = run(["analyze", "--game", str(path)])
+        assert code == 2
+        assert "error: payoffs[0]" in capsys.readouterr().err
+
+    def test_play_count_above_the_cap_is_input_error(self, tmp_path, capsys):
+        path, _ = _qubit_game(tmp_path / "q13.json", 13)
+        _, code = run(["payoff", "--game", path, "--play", ";".join(["0"] * 13)])
+        assert code == 2
+        assert "error: strategy_sets: 8192 plays exceed" in capsys.readouterr().err
+
+    def test_seven_qubit_players(self, tmp_path):
+        # D = 128: flip the first qubit, leave the others at |0⟩
+        path, doc = _qubit_game(tmp_path / "q7.json", 7)
+        report, code = run(["payoff", "--game", path, "--play", ";".join(["pi"] + ["0"] * 6)])
+        assert code == 0
+        assert report.results["outcome_distribution"]["1000000"] == pytest.approx(1.0, abs=1e-12)
+        want = [tensor[1][0][0][0][0][0][0] for tensor in doc["payoffs"]]
+        assert list(report.results["payoffs"].values()) == pytest.approx(want, abs=1e-12)
+
+
+class TestBrokenPipe:
+    class _ClosedPipe(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+        def flush(self):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    def test_closed_stdout_ends_quietly(self, monkeypatch, capsys):
+        monkeypatch.setattr("sys.stdout", self._ClosedPipe())
+        assert main(["export", "prisoners_dilemma"]) == 0
+        assert capsys.readouterr().err == ""
+
+    def test_closed_pipe_in_a_child_process(self):
+        # the reader closes its end before the child writes anything
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import qgames
+
+        env = dict(os.environ, PYTHONPATH=str(Path(qgames.__file__).parent.parent))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "qgames.cli", "export", "prisoners_dilemma"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait() == 0, err
+        assert "Traceback" not in err and "BrokenPipeError" not in err

@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from helpers import random_unitary
+from helpers import random_quantum_game, random_unitary
 from qgames.catalog import load
 from qgames.classical import ClassicalGame
 from qgames.equilibrium import (
@@ -154,6 +154,19 @@ class TestExactAgainstGridOracle:
         # the families are nested: one_param within two_param within three_param
         assert values[0] <= values[1] + 1e-12
         assert values[1] <= values[2] + 1e-12
+
+
+class TestLocalPayoffForm:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_form_matches_the_payoff(self, seed):
+        # 2-4 players of dimensions 2 and 3, random bases and mixed starts
+        rng = np.random.default_rng(1200 + seed)
+        qg = random_quantum_game(rng, players=2 + seed % 3)
+        player = seed % qg.base.players
+        play = [random_unitary(rng, d) for d in qg.local_dims]
+        surface = _LocalPayoff(qg, player, {j: u for j, u in enumerate(play) if j != player})
+        want = expected_payoffs_q(qg, [UnitaryOperator(u) for u in play])[player]
+        assert abs(surface.value(play[player]) - want) <= 1e-12
 
 
 class TestVerifyNash:

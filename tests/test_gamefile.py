@@ -1,13 +1,16 @@
 """Game-file schema: parsing, validation errors, export round-trips."""
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from qgames.catalog import ETA_IN, load
-from qgames.errors import GameFileError
+from helpers import random_unitary
+from qgames.catalog import ETA_IN, eta_basis, load
+from qgames.errors import DimensionLimitError, GameFileError
 from qgames.gamefile import export_entry, parse_angle, parse_game_file
-from qgames.quantumize import play_sequential
+from qgames.quantum import MeasurementBasis
+from qgames.quantumize import build_ewl, play_sequential
 from qgames.strategies import HADAMARD
 
 
@@ -79,6 +82,32 @@ class TestRoundTrips:
         )
 
 
+class TestBasisExport:
+    def _with_basis(self, basis):
+        entry = load("prisoners_dilemma", verify=False)
+        qg = build_ewl(entry.classical, entry.quantum.initial_state, basis)
+        return dataclasses.replace(entry, quantum=qg)
+
+    def test_named_basis_detected_up_to_column_phase(self):
+        eta = eta_basis()
+        phases = np.exp(1j * np.array([0.3, -1.2, 2.0, np.pi]))
+        entry = self._with_basis(MeasurementBasis(eta.unitary * phases, eta.labels))
+        doc = export_entry(entry)
+        assert doc["quantum"]["basis"] == "ewl_eta"
+        qg = parse_game_file(json.dumps(doc)).quantum_game()
+        np.testing.assert_allclose(qg.basis.projectors, entry.quantum.basis.projectors, atol=1e-12)
+
+    def test_explicit_basis_round_trip(self):
+        rng = np.random.default_rng(5)
+        entry = self._with_basis(MeasurementBasis(random_unitary(rng, 4), eta_basis().labels))
+        doc = export_entry(entry)
+        assert doc["quantum"]["basis"]["labels"] == ["CC", "CD", "DC", "DD"]
+        qg = parse_game_file(json.dumps(doc)).quantum_game()
+        assert qg.basis.labels == entry.quantum.basis.labels
+        np.testing.assert_allclose(qg.basis.projectors, entry.quantum.basis.projectors, atol=1e-12)
+        np.testing.assert_array_equal(qg.payoff_vectors, entry.quantum.payoff_vectors)
+
+
 class TestNamedStates:
     def test_ewl_entangled_state(self):
         gf = parse_game_file(json.dumps(_doc("prisoners_dilemma")))
@@ -126,6 +155,16 @@ class TestValidation:
         with pytest.raises(GameFileError) as err:
             parse_game_file(json.dumps(doc))
         assert any("[re, im]" in line for line in err.value.errors)
+
+    @pytest.mark.parametrize("bad", [10**400, True, float("nan")])
+    def test_complex_entry_must_be_a_finite_number(self, bad):
+        doc = _doc("prisoners_dilemma")
+        doc["quantum"]["initial_state"] = [[[bad, 0], [0, 0], [0, 0], [0, 0]]] + [
+            [[0, 0]] * 4 for _ in range(3)
+        ]
+        with pytest.raises(GameFileError) as err:
+            parse_game_file(json.dumps(doc))
+        assert err.value.errors[0].startswith("quantum.initial_state[0][0]: expected an [re, im] pair")
 
     def test_non_unitary_family_operator(self):
         doc = _doc("battle_of_sexes")
@@ -211,3 +250,57 @@ class TestValidation:
         ]
         gf = parse_game_file(json.dumps(doc))
         np.testing.assert_allclose(gf.quantum_game().initial_state.matrix, rho, atol=1e-12)
+
+
+class TestExplicitBasisErrors:
+    def _errors(self, projectors, labels=("CC", "CD", "DC", "DD")):
+        doc = _doc("prisoners_dilemma")
+        doc["quantum"]["basis"] = {
+            "labels": list(labels),
+            "projectors": [
+                [[[float(c.real), float(c.imag)] for c in row] for row in p]
+                if isinstance(p, np.ndarray) else p
+                for p in projectors
+            ],
+        }
+        with pytest.raises(GameFileError) as err:
+            parse_game_file(json.dumps(doc))
+        return err.value.errors
+
+    def test_not_rank_one_names_the_projector(self):
+        eye = np.eye(4)
+        projectors = [np.outer(eye[k], eye[k]) for k in range(4)]
+        projectors[2] = projectors[2] + projectors[3]
+        errors = self._errors(projectors)
+        assert errors[0].startswith("quantum.basis.projectors[2]: not a rank-one projector")
+
+    def test_overlapping_projectors_name_the_later_one(self):
+        eye = np.eye(4)
+        vectors = [eye[0], eye[1], (eye[0] + eye[2]) / np.sqrt(2), eye[3]]
+        errors = self._errors([np.outer(v, v) for v in vectors])
+        assert errors[0].startswith("quantum.basis.projectors[2]: not orthonormal")
+
+    def test_wrong_size_names_the_projector(self):
+        eye = np.eye(4)
+        projectors = [np.outer(eye[k], eye[k]) for k in range(4)]
+        projectors[1] = [[[1.0, 0.0]]]
+        errors = self._errors(projectors)
+        assert errors == ["quantum.basis.projectors[1]: expected a 4x4 matrix, got shape (1, 1)"]
+
+    def test_repeated_play_label(self):
+        eye = np.eye(4)
+        errors = self._errors([np.outer(e, e) for e in eye], labels=("CC", "CD", "C,D", "DD"))
+        assert errors[0].startswith("quantum.basis.labels:")
+
+
+class TestSizeGuard:
+    def test_play_count_above_the_cap(self):
+        n = 13
+        doc = {
+            "schema_version": 1,
+            "strategy_sets": [["a", "b"]] * n,
+            "payoffs": [np.zeros((2,) * n).tolist() for _ in range(n)],
+            "quantum": {"initial_state": "computational:" + "a" * n},
+        }
+        with pytest.raises(DimensionLimitError, match=r"^strategy_sets: 8192 plays exceed"):
+            parse_game_file(json.dumps(doc))

@@ -122,15 +122,64 @@ class TestTypeInvariants:
 
     def test_basis_rejects_incomplete(self):
         with pytest.raises(ValidationError):
-            MeasurementBasis(np.array([np.diag([1.0, 0.0])]), ("only",))
+            MeasurementBasis.from_projectors(np.array([np.diag([1.0, 0.0])]), ("only",))
 
     def test_basis_rejects_duplicate_labels(self):
         projectors = np.array([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
         with pytest.raises(ValidationError):
-            MeasurementBasis(projectors, ("x", "x"))
+            MeasurementBasis.from_projectors(projectors, ("x", "x"))
 
     def test_channel_rejects_non_trace_preserving(self):
         with pytest.raises(ChannelError):
+            KrausChannel(np.array([0.5 * IDENTITY]))
+
+
+class TestBasisFromProjectors:
+    def _reject(self, projectors, path):
+        with pytest.raises(ValidationError, match=rf"^{path}: .*> tol 1e-09"):
+            MeasurementBasis.from_projectors(np.asarray(projectors, dtype=complex), ("a", "b"))
+
+    def test_rejects_non_hermitian_projector(self):
+        # idempotents summing to the identity, but not Hermitian
+        skew = np.array([[1.0, 1.0], [0.0, 0.0]])
+        self._reject([skew, np.eye(2) - skew], r"projectors\[0\]")
+
+    def test_rejects_rank_two_with_zero(self):
+        self._reject([np.eye(2), np.zeros((2, 2))], r"projectors\[0\]")
+        self._reject([np.zeros((2, 2)), np.eye(2)], r"projectors\[0\]")
+
+    def test_rejects_non_orthogonal(self):
+        self._reject([np.diag([1.0, 0.0]), np.outer(PLUS, PLUS)], r"projectors\[1\]")
+
+    def test_rejects_incomplete_set(self):
+        with pytest.raises(ValidationError, match=r"^projectors: 1 given in dimension 2"):
+            MeasurementBasis.from_projectors(np.array([np.diag([1.0, 0.0])]), ("a",))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_recovers_vectors_up_to_phase(self, seed):
+        rng = np.random.default_rng(seed)
+        u = random_unitary(rng, 5)
+        basis = MeasurementBasis.from_projectors(
+            np.einsum("ak,bk->kab", u, u.conj()), tuple(range(5))
+        )
+        overlaps = np.abs(np.sum(u.conj() * basis.unitary, axis=0))
+        np.testing.assert_allclose(overlaps, 1.0, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(
+            basis.projectors, np.einsum("ak,bk->kab", u, u.conj()), rtol=0, atol=1e-12
+        )
+
+
+class TestErrorsStateDeviation:
+    def test_unitary_operator(self):
+        with pytest.raises(ValidationError, match=r"max \|U†U − I\| = 1 > tol 1e-09"):
+            UnitaryOperator(np.array([[1, 1], [0, 1]]))
+
+    def test_measurement_basis(self):
+        with pytest.raises(ValidationError, match=r"not orthonormal: \|\(V†V − I\)\[0,0\]\| = 0\.5 > tol 1e-06"):
+            MeasurementBasis(np.diag([np.sqrt(0.5), 1.0]), ("a", "b"), 1e-6)
+
+    def test_kraus_channel(self):
+        with pytest.raises(ChannelError, match=r"max \|Σ E†E − I\| = 0\.75 > tol 1e-09"):
             KrausChannel(np.array([0.5 * IDENTITY]))
 
 
@@ -211,7 +260,7 @@ class TestApplyChannel:
 class TestMeasure:
     def test_balanced_state_in_computational_basis(self):
         rho = DensityMatrix.from_pure([1 / SQRT2, 1 / SQRT2])
-        basis = MeasurementBasis(
+        basis = MeasurementBasis.from_projectors(
             np.array([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]), ("0", "1")
         )
         outcomes = measure(rho, basis)
@@ -220,7 +269,7 @@ class TestMeasure:
 
     def test_eigenstate(self):
         rho = DensityMatrix.from_pure([1, 0])
-        basis = MeasurementBasis(
+        basis = MeasurementBasis.from_projectors(
             np.array([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]), ("0", "1")
         )
         outcomes = measure(rho, basis)
@@ -265,7 +314,7 @@ class TestMeasure:
 
 class TestSampleOutcome:
     def _basis(self):
-        return MeasurementBasis(
+        return MeasurementBasis.from_projectors(
             np.array([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]), ("0", "1")
         )
 

@@ -11,6 +11,7 @@ from qgames.errors import ShapeError, ValidationError
 from qgames.quantum import (
     DensityMatrix,
     UnitaryOperator,
+    apply_channel,
     commutator_norm,
     outcome_probabilities,
 )
@@ -23,9 +24,11 @@ from qgames.quantumize import (
     expected_payoffs_q,
     final_state,
     joint_unitary,
+    mixed_final_state,
     outcome_distribution,
     play_index,
     play_sequential,
+    product_channel,
 )
 from qgames.strategies import (
     DEFECT,
@@ -99,7 +102,7 @@ class TestBuildEwl:
     def test_label_play_mismatch_rejected(self, dilemma_q):
         game = dilemma_q.base
         bad = computational_basis(game)
-        relabeled = type(bad)(bad.projectors, ((0, 0), (0, 1), (1, 0), (2, 2)))
+        relabeled = type(bad)(bad.unitary, ((0, 0), (0, 1), (1, 0), (2, 2)))
         with pytest.raises(ValidationError):
             build_ewl(game, dilemma_q.initial_state, relabeled)
 
@@ -319,3 +322,35 @@ class TestJointUnitary:
         np.testing.assert_allclose(
             joint_unitary(dilemma_q, [_u(a), _u(b)]), np.kron(a, b), atol=1e-15
         )
+
+
+class TestLocalAgainstKronecker:
+    """The local (one tensor factor at a time) evolution against the
+    Kronecker-product oracle, on random games with local dimensions 2 and 3,
+    random bases and mixed initial states."""
+
+    @pytest.mark.parametrize("seed", range(9))
+    def test_pure_play(self, seed):
+        rng = np.random.default_rng(900 + seed)
+        qg = random_quantum_game(rng, players=2 + seed % 3)
+        play = [_u(random_unitary(rng, d)) for d in qg.local_dims]
+        u = joint_unitary(qg, play)
+        rho = u @ qg.initial_state.matrix @ u.conj().T
+        np.testing.assert_allclose(final_state(qg, play).matrix, rho, rtol=0, atol=1e-12)
+        want = np.einsum("ab,iba->i", rho, qg.payoff_operators).real
+        np.testing.assert_allclose(expected_payoffs_q(qg, play), want, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("seed", range(9))
+    def test_mixed_play(self, seed):
+        rng = np.random.default_rng(950 + seed)
+        qg = random_quantum_game(rng, players=2 + seed % 3)
+        mixtures = []
+        for d in qg.local_dims:
+            k = int(rng.integers(1, 4))
+            mixtures.append(
+                OperatorMixture(rng.dirichlet(np.ones(k)), tuple(random_unitary(rng, d) for _ in range(k)))
+            )
+        rho = apply_channel(qg.initial_state, product_channel(mixtures)).matrix
+        np.testing.assert_allclose(mixed_final_state(qg, mixtures).matrix, rho, rtol=0, atol=1e-12)
+        want = np.einsum("ab,iba->i", rho, qg.payoff_operators).real
+        np.testing.assert_allclose(expected_payoffs_mixed(qg, mixtures), want, rtol=0, atol=1e-12)
