@@ -309,13 +309,7 @@ def _prisoners_dilemma(params) -> CatalogEntry:
             family,
             config,
         )
-        point, value = best_response(
-            entry.quantum,
-            0,
-            {1: UnitaryOperator(DEFECT)},
-            family,
-            config,
-        )
+        point, value = best_response(entry.quantum, 0, {1: UnitaryOperator(DEFECT)}, family)
         br_ok = np.allclose(point, (0.0, np.pi / 2), atol=1e-9) and abs(value) <= 1e-9
         ok = (
             report.certified

@@ -48,7 +48,6 @@ from .gamefile import _play_token, export_entry_text, parse_angle, parse_game_fi
 from .quantum import TOL, UnitaryOperator, commutator_norm
 from .quantumize import (
     OperatorMixture,
-    expected_payoffs_q,
     outcome_distribution,
     play_sequential,
 )
@@ -173,10 +172,11 @@ class Report:
         rounded = _round12(self.results)
         lines.extend(_text_lines(rounded))
         diag = _round12(self.diagnostics)
-        lines.append(
-            "config: "
-            + ", ".join(f"{k}={_scalar_text(v)}" for k, v in diag.items())
-        )
+        if diag:
+            lines.append(
+                "config: "
+                + ", ".join(f"{k}={_scalar_text(v)}" for k, v in diag.items())
+            )
         for note in self.notes:
             lines.append(f"note: {note}")
         return "\n".join(lines)
@@ -189,28 +189,16 @@ class Report:
 # shared helpers
 # ---------------------------------------------------------------------------
 
-def _config(args) -> SearchConfig:
-    return SearchConfig(epsilon=args.epsilon, seed=args.seed)
-
-
-def _diagnostics(args) -> dict:
-    return {
-        "tol": args.tol,
-        "epsilon": args.epsilon,
-        "seed": args.seed,
-    }
-
-
 def _family_from(args, gf) -> StrategyFamily:
     if getattr(args, "family", None):
         kind = args.family
         if kind == FINITE_SET:
-            if gf.quantum is None or gf.quantum.family is None or gf.quantum.family.kind != FINITE_SET:
+            if gf.family is None or gf.family.kind != FINITE_SET:
                 raise GameFileError(["finite_set family requested but the file defines none"])
-            return gf.quantum.family
+            return gf.family
         return StrategyFamily(kind)
-    if gf.quantum is not None and gf.quantum.family is not None:
-        return gf.quantum.family
+    if gf.family is not None:
+        return gf.family
     return StrategyFamily.two_param()
 
 
@@ -332,7 +320,9 @@ def _cmd_analyze(args) -> tuple[Report, int]:
         "pareto_optimal": [_play_token(game, p) for p in pareto],
     }
     notes = []
+    diagnostics = {}
     if game.players == 2 and max(game.shape) <= 4:
+        diagnostics["tol"] = args.tol
         mixed = mixed_nash_two_player(game, tol=args.tol)
         results["mixed_nash"] = [
             {
@@ -343,7 +333,7 @@ def _cmd_analyze(args) -> tuple[Report, int]:
         ]
     else:
         notes.append("mixed equilibrium search covers 2-player games with small strategy sets")
-    report = Report("analyze", {"game": args.game}, results, _diagnostics(args), notes)
+    report = Report("analyze", {"game": args.game}, results, diagnostics, notes)
     return report, 0
 
 
@@ -374,7 +364,7 @@ def _cmd_quantumize(args) -> tuple[Report, int]:
         "payoff_operators": spectra,
         "max_pairwise_commutator": worst,
     }
-    report = Report("quantumize", {"game": args.game}, results, _diagnostics(args))
+    report = Report("quantumize", {"game": args.game}, results, {})
     return report, 0
 
 
@@ -401,8 +391,8 @@ def _cmd_payoff(args) -> tuple[Report, int]:
     gf = parse_game_file(args.game)
     qg = gf.quantum_game()
     ops, echo = _play_operators(args, gf, qg)
-    payoffs = expected_payoffs_q(qg, ops)
     dist = outcome_distribution(qg, ops)
+    payoffs = qg.payoff_vectors @ np.array([p for _, p in dist])
     results = {
         "play": echo,
         "payoffs": {
@@ -412,7 +402,7 @@ def _cmd_payoff(args) -> tuple[Report, int]:
             _play_token(qg.base, play): p for play, p in dist
         },
     }
-    report = Report("payoff", {"game": args.game, "play": args.play}, results, _diagnostics(args))
+    report = Report("payoff", {"game": args.game, "play": args.play}, results, {})
     return report, 0
 
 
@@ -423,10 +413,11 @@ def _cmd_best_response(args) -> tuple[Report, int]:
     family = _family_from(args, gf)
     player = _resolve_player(args.player, game.player_names or [str(i) for i in range(game.players)])
     other_idx = [i for i in range(game.players) if i != player]
-    config = _config(args)
+    diagnostics = {}
     if family.kind == FINITE_SET:
         mixtures = _parse_mixtures(args.others, len(other_idx), family)
         others = dict(zip(other_idx, mixtures))
+        diagnostics["tol"] = args.tol
         probs = best_response_mixed_finite(qg, player, others, family, tol=args.tol)
         results = {
             "player": game.name_of(player),
@@ -437,7 +428,7 @@ def _cmd_best_response(args) -> tuple[Report, int]:
         others = {
             i: param_unitary(family, p) for i, p in zip(other_idx, points)
         }
-        point, value = best_response(qg, player, others, family, config)
+        point, value = best_response(qg, player, others, family)
         results = {
             "player": game.name_of(player),
             "best_point": list(point),
@@ -447,7 +438,7 @@ def _cmd_best_response(args) -> tuple[Report, int]:
         "best-response",
         {"game": args.game, "player": args.player, "others": args.others},
         results,
-        _diagnostics(args),
+        diagnostics,
     )
     return report, 0
 
@@ -457,7 +448,7 @@ def _cmd_verify_nash(args) -> tuple[Report, int]:
     qg = gf.quantum_game()
     game = qg.base
     family = _family_from(args, gf)
-    config = _config(args)
+    config = SearchConfig(epsilon=args.epsilon)
     if family.kind == FINITE_SET:
         mixtures = _parse_mixtures(args.profile, game.players, family)
         rep = verify_nash_mixed_finite(qg, mixtures, (family,) * game.players, config)
@@ -482,7 +473,7 @@ def _cmd_verify_nash(args) -> tuple[Report, int]:
         "verify-nash",
         {"game": args.game, "profile": args.profile, "family": family.kind},
         results,
-        _diagnostics(args),
+        {"epsilon": args.epsilon},
     )
     return report, 0 if rep.certified else 1
 
@@ -511,7 +502,7 @@ def _cmd_pareto(args) -> tuple[Report, int]:
         },
         "optimal": list(rep.optimal),
     }
-    report = Report("pareto", {"game": args.game}, results, _diagnostics(args))
+    report = Report("pareto", {"game": args.game}, results, {})
     return report, 0
 
 
@@ -531,7 +522,7 @@ def _cmd_play_sequential(args) -> tuple[Report, int]:
         "play-sequential",
         {"game": args.game, "moves": args.moves},
         results,
-        _diagnostics(args),
+        {},
     )
     return report, 0
 
@@ -544,8 +535,7 @@ def _cmd_demo(args) -> tuple[Report, int]:
         basis=args.basis,
         verify=False,
     )
-    config = _config(args)
-    checks = entry.verify(config)
+    checks = entry.verify(SearchConfig(epsilon=args.epsilon, seed=args.seed))
     all_passed = all(c.passed for c in checks)
     results = {
         "entry": entry.name,
@@ -554,7 +544,7 @@ def _cmd_demo(args) -> tuple[Report, int]:
             {
                 "label": c.label,
                 "passed": bool(c.passed),
-                "details": _round12(_plain(c.details)),
+                "details": _round12(c.details),
             }
             for c in checks
         ],
@@ -562,22 +552,9 @@ def _cmd_demo(args) -> tuple[Report, int]:
     }
     notes = [sol.note for sol in entry.documented_solutions if sol.note]
     notes.extend(entry.notes)
-    report = Report(
-        "demo", {"name": args.name, "basis": args.basis}, results, _diagnostics(args), notes
-    )
+    diagnostics = {"epsilon": args.epsilon, "seed": args.seed}
+    report = Report("demo", {"name": args.name, "basis": args.basis}, results, diagnostics, notes)
     return report, 0 if all_passed else 1
-
-
-def _plain(value):
-    if isinstance(value, dict):
-        return {str(k): _plain(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_plain(v) for v in value]
-    if isinstance(value, np.ndarray):
-        return [_plain(v) for v in value.tolist()]
-    if isinstance(value, (np.floating, np.integer, np.bool_)):
-        return value.item()
-    return value
 
 
 def _cmd_export(args) -> tuple[Report, int]:
@@ -588,7 +565,7 @@ def _cmd_export(args) -> tuple[Report, int]:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
         results = {"written": args.out}
-        report = Report("export", {"name": args.name}, results, _diagnostics(args))
+        report = Report("export", {"name": args.name}, results, {})
         return report, 0
     # raw file on stdout, not a report
     sys.stdout.write(text)
@@ -609,14 +586,12 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p, game=True):
         if game:
             p.add_argument("--game", required=True, help="game definition JSON file")
-        p.add_argument("--tol", type=float, default=TOL, help="numeric tolerance")
-        p.add_argument("--epsilon", type=float, default=1e-6, help="certification threshold")
-        p.add_argument("--seed", type=int, default=0, help="seed echoed into reports")
         p.add_argument("--format", choices=("text", "json"), default="text")
 
     p = sub.add_parser("analyze", help="classical solutions of a game file")
     common(p)
     p.add_argument("--strict", action="store_true", help="strict dominance / equilibria")
+    p.add_argument("--tol", type=float, default=TOL, help="tolerance of the mixed equilibrium search")
     p.set_defaults(func=_cmd_analyze)
 
     p = sub.add_parser("quantumize", help="quantum game summary incl. payoff-operator spectra")
@@ -634,12 +609,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--player", required=True, help="player name or 0-based index")
     p.add_argument("--others", required=True, help="other players' strategies")
     p.add_argument("--family", choices=("one_param", "two_param", "three_param", "finite_set"))
+    p.add_argument("--tol", type=float, default=TOL, help="tolerance of the finite_set mixture search")
     p.set_defaults(func=_cmd_best_response)
 
     p = sub.add_parser("verify-nash", help="certify or refute a profile")
     common(p)
     p.add_argument("--profile", required=True, help="per-player parameters or mixtures")
     p.add_argument("--family", choices=("one_param", "two_param", "three_param", "finite_set"))
+    p.add_argument("--epsilon", type=float, default=1e-6, help="certification threshold")
     p.set_defaults(func=_cmd_verify_nash)
 
     p = sub.add_parser("pareto", help="Pareto relations and the optimal set")
@@ -659,6 +636,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("demo", help="re-run a catalog entry's documented solutions")
     common(p, game=False)
+    p.add_argument("--epsilon", type=float, default=1e-6, help="certification threshold")
+    p.add_argument("--seed", type=int, default=0, help="seed of the sampled three-parameter checks")
     p.add_argument("name", choices=_catalog.CATALOG_NAMES)
     p.add_argument("--params", help="entry parameters, e.g. 'alpha=5,beta=3,gamma=1'")
     p.add_argument("--basis", choices=("computational", "bell"), default="computational")

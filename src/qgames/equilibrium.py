@@ -179,7 +179,6 @@ def best_response(
     player: int,
     others: Mapping[int, "UnitaryOperator | np.ndarray"],
     family: StrategyFamily,
-    config: SearchConfig = SearchConfig(),
 ) -> tuple[ParamPoint, float]:
     """Best parameter point for ``player`` with the other players fixed.
 
@@ -187,8 +186,7 @@ def best_response(
     coordinates x (module docstring). three_param takes the top eigenvector
     of M; two_param and one_param take the best eigenvector of a principal
     submatrix that lies in their orthant. The returned value is the payoff
-    evaluated at the returned point. ``config`` is accepted for the callers
-    that pass it through; the result does not depend on it.
+    evaluated at the returned point.
 
     Ties are broken deterministically. three_param makes the first
     component of x with magnitude above 1e-12 positive. two_param and
@@ -243,7 +241,7 @@ def verify_nash(
     responses = []
     for i in range(qg.base.players):
         others = {j: units[j] for j in range(qg.base.players) if j != i}
-        point, value = best_response(qg, i, others, family, config)
+        point, value = best_response(qg, i, others, family)
         gains.append(float(value - payoffs[i]))
         responses.append(point)
     max_gain = max(gains)

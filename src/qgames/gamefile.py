@@ -1,5 +1,10 @@
 """JSON game definition files: parsing, validation and catalog export.
 
+:func:`parse_game_file` validates a file and returns a :class:`GameFile`
+that holds the games built from it: the classical game, plus the quantum
+game and its strategy family and the sequential game when the file has
+those sections. Each is built once.
+
 Schema (version 1). Complex numbers are ``[re, im]`` pairs throughout so
 files are bit-exact and language-neutral::
 
@@ -127,150 +132,147 @@ def _complex_matrix(value, path: str, errs: _Collector) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class QuantumSection:
-    initial_state: "str | np.ndarray"
-    basis: "str | tuple"
-    family: StrategyFamily | None
-
-
-@dataclass(frozen=True)
-class SequentialSection:
-    player_names: tuple[str, ...]
-    state_labels: tuple[str, ...]
-    initial_state: "str | np.ndarray"
-    moves: dict[str, tuple[int, ...]]
-    schedule: tuple[str, ...]
-    state_payoffs: np.ndarray
-
-
 @dataclass(frozen=True, eq=False)
 class GameFile:
-    """A validated game definition, ready to build engine objects from."""
+    """A validated game definition: the engine objects built from it.
+
+    :func:`parse_game_file` builds each object once. ``family`` is the
+    strategy family the quantum section names, if any.
+    """
 
     schema_version: int
-    player_names: tuple[str, ...]
-    strategy_sets: tuple[tuple[str, ...], ...]
-    payoffs: tuple[np.ndarray, ...]
-    quantum: QuantumSection | None
-    sequential: SequentialSection | None
+    classical: ClassicalGame
+    quantum: QuantumGame | None
+    family: StrategyFamily | None
+    sequential: SequentialQuantumGame | None
 
     def classical_game(self) -> ClassicalGame:
-        return ClassicalGame(self.strategy_sets, self.payoffs, self.player_names)
-
-    def parse_play(self, token: str):
-        """Resolve a play token ("D,D" or "DD") to strategy indices."""
-        names = None
-        if "," in token:
-            names = [t.strip() for t in token.split(",")]
-        elif len(token) == len(self.strategy_sets):
-            names = list(token)
-        if names is None or len(names) != len(self.strategy_sets):
-            raise GameFileError([f"play token {token!r} does not name one strategy per player"])
-        play = []
-        for i, name in enumerate(names):
-            if name not in self.strategy_sets[i]:
-                raise GameFileError(
-                    [f"player {i} has no strategy {name!r} (choices: {self.strategy_sets[i]})"]
-                )
-            play.append(self.strategy_sets[i].index(name))
-        return tuple(play)
-
-    def _named_state(self, spec: str, dim: int) -> DensityMatrix:
-        if spec == "ewl_entangled":
-            if dim != 4:
-                raise GameFileError(["ewl_entangled is a two-qubit state (dim 4)"])
-            return DensityMatrix.from_pure(ETA_IN)
-        if spec == "phi_plus":
-            if dim != 4:
-                raise GameFileError(["phi_plus is a two-qubit state (dim 4)"])
-            return DensityMatrix.from_pure(PHI_PLUS)
-        if spec.startswith("computational:"):
-            play = self.parse_play(spec.split(":", 1)[1])
-            game = self.classical_game()
-            vec = np.zeros(dim, dtype=complex)
-            vec[play_index(game, play)] = 1.0
-            return DensityMatrix.from_pure(vec)
-        raise GameFileError([f"unknown named initial state {spec!r}"])
+        return self.classical
 
     def quantum_game(self) -> QuantumGame:
         if self.quantum is None:
             raise GameFileError(["file has no quantum section"])
-        game = self.classical_game()
-        dim = int(np.prod(game.shape))
-        spec = self.quantum.initial_state
-        if isinstance(spec, str):
-            state = self._named_state(spec, dim)
-        else:
-            state = DensityMatrix(spec)
-        basis_spec = self.quantum.basis
-        if basis_spec == "computational":
-            basis = computational_basis(game)
-        elif basis_spec == "ewl_eta":
-            basis = eta_basis()
-        elif basis_spec == "bell":
-            basis = bell_basis()
-        else:
-            labels, projectors = basis_spec
-            plays = tuple(self.parse_play(lbl) for lbl in labels)
-            if len(set(plays)) != len(plays):
-                raise GameFileError(["quantum.basis.labels: two labels name the same play"])
-            try:
-                basis = MeasurementBasis.from_projectors(projectors, plays)
-            except QGamesError as exc:
-                # every projector error starts with its own "projectors[i]" path
-                raise GameFileError([f"quantum.basis.{exc}"]) from None
-        return build_ewl(game, state, basis)
+        return self.quantum
 
     def sequential_game(self) -> SequentialQuantumGame:
         if self.sequential is None:
             raise GameFileError(["file has no sequential section"])
-        sec = self.sequential
-        k = len(sec.state_labels)
-        spec = sec.initial_state
-        if isinstance(spec, str):
-            vec = np.zeros(k, dtype=complex)
-            vec[sec.state_labels.index(spec)] = 1.0
-            state = DensityMatrix.from_pure(vec)
-        elif spec.ndim == 1:
-            state = DensityMatrix.from_pure(spec)
-        else:
-            state = DensityMatrix(spec)
-        moves = {}
-        for name, perm in sec.moves.items():
-            matrix = np.zeros((k, k), dtype=complex)
-            for j, image in enumerate(perm):
-                matrix[image, j] = 1.0
-            moves[name] = UnitaryOperator(matrix)
-        schedule = tuple(sec.player_names.index(p) for p in sec.schedule)
-        return build_sequential(
-            sec.state_labels,
-            state,
-            schedule,
-            moves,
-            sec.state_payoffs,
-            sec.player_names,
-        )
+        return self.sequential
+
+    def parse_play(self, token: str):
+        """Resolve a play token ("D,D" or "DD") to strategy indices."""
+        return _parse_play(self.classical.strategy_sets, token)
+
+
+def _parse_play(strategy_sets, token: str) -> tuple[int, ...]:
+    names = None
+    if "," in token:
+        names = [t.strip() for t in token.split(",")]
+    elif len(token) == len(strategy_sets):
+        names = list(token)
+    if names is None or len(names) != len(strategy_sets):
+        raise GameFileError([f"play token {token!r} does not name one strategy per player"])
+    play = []
+    for i, name in enumerate(names):
+        if name not in strategy_sets[i]:
+            raise GameFileError(
+                [f"player {i} has no strategy {name!r} (choices: {strategy_sets[i]})"]
+            )
+        play.append(strategy_sets[i].index(name))
+    return tuple(play)
+
+
+# ---------------------------------------------------------------------------
+# building the engine objects from validated fields
+# ---------------------------------------------------------------------------
+
+def _named_state(spec: str, game: ClassicalGame, dim: int) -> DensityMatrix:
+    if spec == "ewl_entangled":
+        if dim != 4:
+            raise GameFileError(["ewl_entangled is a two-qubit state (dim 4)"])
+        return DensityMatrix.from_pure(ETA_IN)
+    if spec == "phi_plus":
+        if dim != 4:
+            raise GameFileError(["phi_plus is a two-qubit state (dim 4)"])
+        return DensityMatrix.from_pure(PHI_PLUS)
+    if spec.startswith("computational:"):
+        play = _parse_play(game.strategy_sets, spec.split(":", 1)[1])
+        vec = np.zeros(dim, dtype=complex)
+        vec[play_index(game, play)] = 1.0
+        return DensityMatrix.from_pure(vec)
+    raise GameFileError([f"unknown named initial state {spec!r}"])
+
+
+def _quantum_game(game: ClassicalGame, state_spec, basis_spec) -> QuantumGame:
+    dim = int(np.prod(game.shape))
+    if isinstance(state_spec, str):
+        state = _named_state(state_spec, game, dim)
+    else:
+        state = DensityMatrix(state_spec)
+    if basis_spec == "computational":
+        basis = computational_basis(game)
+    elif basis_spec == "ewl_eta":
+        basis = eta_basis()
+    elif basis_spec == "bell":
+        basis = bell_basis()
+    else:
+        labels, projectors = basis_spec
+        plays = tuple(_parse_play(game.strategy_sets, lbl) for lbl in labels)
+        if len(set(plays)) != len(plays):
+            raise GameFileError(["quantum.basis.labels: two labels name the same play"])
+        try:
+            basis = MeasurementBasis.from_projectors(projectors, plays)
+        except QGamesError as exc:
+            # every projector error starts with its own "projectors[i]" path
+            raise GameFileError([f"quantum.basis.{exc}"]) from None
+    return build_ewl(game, state, basis)
+
+
+def _sequential_game(
+    players, states, state_spec, perms, schedule, state_payoffs
+) -> SequentialQuantumGame:
+    k = len(states)
+    if isinstance(state_spec, str):
+        vec = np.zeros(k, dtype=complex)
+        vec[states.index(state_spec)] = 1.0
+        state = DensityMatrix.from_pure(vec)
+    elif state_spec.ndim == 1:
+        state = DensityMatrix.from_pure(state_spec)
+    else:
+        state = DensityMatrix(state_spec)
+    moves = {}
+    for name, perm in perms.items():
+        matrix = np.zeros((k, k), dtype=complex)
+        for j, image in enumerate(perm):
+            matrix[image, j] = 1.0
+        moves[name] = UnitaryOperator(matrix)
+    return build_sequential(
+        states,
+        state,
+        tuple(players.index(p) for p in schedule),
+        moves,
+        state_payoffs,
+        players,
+    )
 
 
 # ---------------------------------------------------------------------------
 # parsing
 # ---------------------------------------------------------------------------
 
-def _parse_quantum(section, strategy_sets, errs: _Collector) -> QuantumSection | None:
+def _parse_quantum(section, strategy_sets, errs: _Collector):
+    """The quantum section's (initial state, basis, family) specs, or None
+    when the file has none. Meaningful only when ``errs`` stays empty."""
     if section is None:
         return None
     if not isinstance(section, dict):
         errs.add("quantum", "expected an object")
         return None
-    state = section.get("initial_state")
-    if isinstance(state, str):
-        init = state
-    elif isinstance(state, list):
-        init = _complex_matrix(state, "quantum.initial_state", errs)
-    else:
+    init = section.get("initial_state")
+    if isinstance(init, list):
+        init = _complex_matrix(init, "quantum.initial_state", errs)
+    elif not isinstance(init, str):
         errs.add("quantum.initial_state", "expected a name or a complex matrix")
-        init = "computational:" + ",".join(s[0] for s in strategy_sets)
     basis = section.get("basis", "computational")
     if isinstance(basis, str):
         if basis not in ("computational", "ewl_eta", "bell"):
@@ -281,13 +283,11 @@ def _parse_quantum(section, strategy_sets, errs: _Collector) -> QuantumSection |
         dim = math.prod(len(s) for s in strategy_sets)
         if not isinstance(labels, list) or not isinstance(projectors, list):
             errs.add("quantum.basis", "explicit basis needs labels and projectors")
-            basis = "computational"
         elif len(labels) != dim or len(projectors) != dim:
             errs.add(
                 "quantum.basis",
                 f"{len(labels)} labels and {len(projectors)} projectors for {dim} plays",
             )
-            basis = "computational"
         else:
             mats = []
             for i, p in enumerate(projectors):
@@ -298,7 +298,6 @@ def _parse_quantum(section, strategy_sets, errs: _Collector) -> QuantumSection |
             basis = (tuple(str(l) for l in labels), mats)
     else:
         errs.add("quantum.basis", "expected a name or an object")
-        basis = "computational"
     family = None
     fam_spec = section.get("family")
     if fam_spec is not None:
@@ -339,10 +338,12 @@ def _parse_quantum(section, strategy_sets, errs: _Collector) -> QuantumSection |
                             errs.add("quantum.family", str(exc))
             else:
                 errs.add("quantum.family.kind", f"unknown kind {kind!r}")
-    return QuantumSection(init, basis, family)
+    return init, basis, family
 
 
-def _parse_sequential(section, errs: _Collector) -> SequentialSection | None:
+def _parse_sequential(section, errs: _Collector):
+    """The arguments of :func:`_sequential_game`, or None when the file has
+    no sequential section. Meaningful only when ``errs`` stays empty."""
     if section is None:
         return None
     if not isinstance(section, dict):
@@ -363,7 +364,6 @@ def _parse_sequential(section, errs: _Collector) -> SequentialSection | None:
     if isinstance(init, str):
         if init not in states:
             errs.add("sequential.initial_state", f"unknown state label {init!r}")
-            init = states[0]
     elif isinstance(init, list):
         if init and isinstance(init[0], list) and init[0] and isinstance(init[0][0], list):
             init = _complex_matrix(init, "sequential.initial_state", errs)
@@ -374,7 +374,6 @@ def _parse_sequential(section, errs: _Collector) -> SequentialSection | None:
             init = vec
     else:
         errs.add("sequential.initial_state", "expected a state label or amplitudes")
-        init = states[0]
     moves = {}
     raw_moves = section.get("moves")
     if not isinstance(raw_moves, dict) or not raw_moves:
@@ -396,12 +395,10 @@ def _parse_sequential(section, errs: _Collector) -> SequentialSection | None:
     schedule = section.get("schedule")
     if not isinstance(schedule, list) or not schedule:
         errs.add("sequential.schedule", "expected a non-empty list of player names")
-        schedule = []
     else:
         bad = [p for p in schedule if p not in players]
         if bad:
             errs.add("sequential.schedule", f"unknown player name(s) {bad}")
-            schedule = []
     payoffs = section.get("state_payoffs")
     arr = np.zeros((len(players), k))
     if not isinstance(payoffs, list) or len(payoffs) != len(players):
@@ -416,7 +413,7 @@ def _parse_sequential(section, errs: _Collector) -> SequentialSection | None:
                     arr[i, j] = v
                 else:
                     errs.add(f"sequential.state_payoffs[{i}][{j}]", "expected a finite number")
-    return SequentialSection(players, states, init, moves, tuple(str(s) for s in schedule), arr)
+    return players, states, init, moves, schedule, arr
 
 
 def parse_game_file(source: "str | Path") -> GameFile:
@@ -498,33 +495,27 @@ def parse_game_file(source: "str | Path") -> GameFile:
     sequential = _parse_sequential(doc.get("sequential"), errs)
     errs.raise_if_any()
 
-    gf = GameFile(
-        schema_version=int(version),
-        player_names=player_names,
-        strategy_sets=strategy_sets,
-        payoffs=tuple(tensors),
-        quantum=quantum,
-        sequential=sequential,
-    )
-    # run the downstream constructors now so every validation error carries
-    # a field path instead of surfacing later at use sites
+    # build each engine object once, here, so that its constructor's errors
+    # carry the path of their section instead of surfacing at use sites
     try:
-        gf.classical_game()
+        classical = ClassicalGame(strategy_sets, tuple(tensors), player_names)
     except QGamesError as exc:
         raise GameFileError([f"payoffs: {exc}"]) from None
-    if gf.quantum is not None:
+    qg = family = sg = None
+    if quantum is not None:
+        state, basis, family = quantum
         try:
-            gf.quantum_game()
+            qg = _quantum_game(classical, state, basis)
         except GameFileError:
             raise
         except QGamesError as exc:
             raise GameFileError([f"quantum: {exc}"]) from None
-    if gf.sequential is not None:
+    if sequential is not None:
         try:
-            gf.sequential_game()
+            sg = _sequential_game(*sequential)
         except QGamesError as exc:
             raise GameFileError([f"sequential: {exc}"]) from None
-    return gf
+    return GameFile(int(version), classical, qg, family, sg)
 
 
 # ---------------------------------------------------------------------------

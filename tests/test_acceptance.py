@@ -128,7 +128,7 @@ def test_04_two_parameter_equilibrium(dilemma):
     report = verify_nash(qg, (phase, phase), TWO, config)
     assert report.certified
     assert np.all(np.abs(np.asarray(report.payoffs) - (-1.0)) <= 1e-9)
-    point, value = best_response(qg, 0, {1: UnitaryOperator(DEFECT)}, TWO, config)
+    point, value = best_response(qg, 0, {1: UnitaryOperator(DEFECT)}, TWO)
     assert np.allclose(point, phase, atol=1e-9)
     assert abs(value) <= 1e-9
     _passed("criterion 4: phase-move profile certifies at 1e-6 with payoffs (-1, -1); best reply to defection is (0, pi/2)")

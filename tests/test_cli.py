@@ -1,11 +1,13 @@
 """Command-line interface: subcommands, exit codes, report determinism."""
 import io
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from qgames.cli import main, run
+from qgames.quantum import DensityMatrix, MeasurementBasis
 
 
 @pytest.fixture(scope="module")
@@ -112,6 +114,25 @@ class TestPayoff:
         )
         assert code == 0
         assert report.results["payoffs"]["A"] == pytest.approx(1.0)
+
+    def test_builds_the_game_and_evolves_the_state_once(self, game_files, tmp_path, monkeypatch):
+        with open(game_files["prisoners_dilemma"], encoding="utf-8") as fh:
+            doc = json.load(fh)
+        doc["quantum"].update(initial_state="computational:CC", basis="computational")
+        path = tmp_path / "start.json"
+        path.write_text(json.dumps(doc))
+        counts = Counter()
+        for cls in (DensityMatrix, MeasurementBasis):
+            def counted(self, tol, _original=cls.__post_init__, _name=cls.__name__):
+                counts[_name] += 1
+                _original(self, tol)
+
+            monkeypatch.setattr(cls, "__post_init__", counted)
+        _, code = run(["payoff", "--game", str(path), "--play", "0,0;pi,0"])
+        assert code == 0
+        # the start state and the basis, built once by the parser, and the
+        # evolved state
+        assert counts == {"DensityMatrix": 2, "MeasurementBasis": 1}
 
 
 class TestBestResponse:
@@ -259,7 +280,6 @@ class TestDeterminismAndErrors:
             "verify-nash",
             "--game", game_files["prisoners_dilemma"],
             "--profile", "0,pi/2;0,pi/2",
-            "--seed", "7",
             "--format", "json",
         ]
         _, _, first = _capture(capsys, argv)
@@ -305,15 +325,29 @@ class TestDeterminismAndErrors:
                 "--game", game_files["prisoners_dilemma"],
                 "--profile", "0,pi/2;0,pi/2",
                 "--epsilon", "1e-5",
-                "--seed", "3",
             ]
         )
-        diag = report.diagnostics
-        assert diag["epsilon"] == 1e-5
-        assert diag["seed"] == 3
-        assert diag["tol"] == 1e-9
-        assert "grid_resolution" not in diag
-        assert "refinement_iterations" not in diag
+        # a report lists only the settings its run read
+        assert report.diagnostics == {"epsilon": 1e-5}
+        report, _ = run(["demo", "penny_flip", "--seed", "3"])
+        assert report.diagnostics == {"epsilon": 1e-6, "seed": 3}
+        assert "config: epsilon=1e-06, seed=3" in report.to_text().splitlines()
+        report, _ = run(["quantumize", "--game", game_files["prisoners_dilemma"]])
+        assert report.diagnostics == {}
+        assert "config:" not in report.to_text()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["payoff", "--play", "0;0", "--tol", "1e-6"],
+            ["verify-nash", "--profile", "0;0", "--seed", "7"],
+            ["analyze", "--epsilon", "1e-5"],
+        ],
+    )
+    def test_settings_a_command_does_not_read_are_rejected(self, game_files, argv):
+        with pytest.raises(SystemExit) as err:
+            run(argv + ["--game", game_files["prisoners_dilemma"]])
+        assert err.value.code == 2
 
     def test_missing_file_is_input_error(self):
         _, code = run(["analyze", "--game", "/no/such/file.json"])

@@ -84,7 +84,7 @@ class TestBestResponse:
     def test_three_param_search_reaches_the_forcing_value(self, dilemma_q, seed):
         rng = np.random.default_rng(seed)
         opp = param_unitary(THREE, _random_three_param_point(rng))
-        point, value = best_response(dilemma_q, 0, {1: opp}, THREE, FAST)
+        point, value = best_response(dilemma_q, 0, {1: opp}, THREE)
         assert abs(value) <= 1e-9  # the player's maximum payoff is 0
 
     def test_monotone_in_grid_resolution(self, dilemma_q):
@@ -112,8 +112,8 @@ class TestBestResponse:
 
     def test_deterministic(self, dilemma_q):
         opp = param_unitary(THREE, (1.1, 2.2, 3.3))
-        first = best_response(dilemma_q, 0, {1: opp}, THREE, FAST)
-        second = best_response(dilemma_q, 0, {1: opp}, THREE, FAST)
+        first = best_response(dilemma_q, 0, {1: opp}, THREE)
+        second = best_response(dilemma_q, 0, {1: opp}, THREE)
         assert first == second
 
 
@@ -227,7 +227,7 @@ class TestForcingResponse:
         rng = np.random.default_rng(77)
         for _ in range(50):
             opp = param_unitary(THREE, _random_three_param_point(rng))
-            _, value = best_response(dilemma_q, 1, {0: opp}, THREE, FAST)
+            _, value = best_response(dilemma_q, 1, {0: opp}, THREE)
             assert abs(value) <= 1e-9
 
     def test_requires_maximal_entanglement(self, coordination):
@@ -276,7 +276,7 @@ class TestStationarityResiduals:
         for _ in range(12):
             opp_point = (float(rng.uniform(0, np.pi)), float(rng.uniform(0, np.pi / 2)))
             opp = param_unitary(TWO, opp_point)
-            point, _ = best_response(dilemma_q, 0, {1: opp}, TWO, FAST)
+            point, _ = best_response(dilemma_q, 0, {1: opp}, TWO)
             margin = 1e-6
             interior = (
                 margin < point[0] < np.pi - margin

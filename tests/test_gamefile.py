@@ -126,6 +126,12 @@ class TestNamedStates:
         expected[3, 3] = 1.0
         np.testing.assert_allclose(qg.initial_state.matrix, expected, atol=1e-12)
 
+    def test_games_are_built_once(self):
+        gf = parse_game_file(json.dumps(_doc("prisoners_dilemma")))
+        assert gf.quantum_game() is gf.quantum_game()
+        gf = parse_game_file(json.dumps(_doc("penny_flip")))
+        assert gf.sequential_game() is gf.sequential_game()
+
     def test_comma_separated_play_token(self):
         doc = _doc("prisoners_dilemma")
         doc["quantum"]["initial_state"] = "computational:C,D"
@@ -236,7 +242,7 @@ class TestValidation:
     def test_player_count_instead_of_names(self):
         doc = _doc("prisoners_dilemma", players=2)
         gf = parse_game_file(json.dumps(doc))
-        assert gf.player_names == ("P1", "P2")
+        assert gf.classical.player_names == ("P1", "P2")
         doc = _doc("prisoners_dilemma", players=3)
         with pytest.raises(GameFileError):
             parse_game_file(json.dumps(doc))
