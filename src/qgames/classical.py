@@ -103,6 +103,8 @@ class MixedProfile:
         dists = []
         for i, p in enumerate(self.distributions):
             v = np.asarray(p, dtype=float).reshape(-1)
+            if not np.all(np.isfinite(v)):
+                raise ValidationError(f"distribution for player {i} has non-finite entries")
             if np.any(v < -tol):
                 raise ValidationError(f"distribution for player {i} has negative entries")
             if abs(v.sum() - 1.0) > tol:

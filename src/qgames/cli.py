@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, field
@@ -225,7 +226,18 @@ def _parse_param_profile(text: str, players: int, arity: int) -> list[tuple[floa
     )
 
 
-def _parse_mixtures(text: str, players: int, family: StrategyFamily) -> list[OperatorMixture]:
+def _number(token: str, flag: str) -> float:
+    """A finite float from one CLI token, or an input error naming ``flag``."""
+    try:
+        value = float(token)
+    except ValueError:
+        raise GameFileError([f"{flag}: {token!r} is not a number"]) from None
+    if not math.isfinite(value):
+        raise GameFileError([f"{flag}: {token!r} is not finite"])
+    return value
+
+
+def _parse_mixtures(text: str, players: int, family: StrategyFamily, flag: str) -> list[OperatorMixture]:
     labels = family.labels
     groups = _split_groups(text)
     if len(groups) != players:
@@ -243,7 +255,7 @@ def _parse_mixtures(text: str, players: int, family: StrategyFamily) -> list[Ope
                         f"{list(labels)} or a single operator label, got {g}"
                     ]
                 )
-            probs = np.array([float(x) for x in g])
+            probs = np.array([_number(x, flag) for x in g])
         mixtures.append(OperatorMixture.over_family(family, probs))
     return mixtures
 
@@ -293,7 +305,7 @@ def _parse_params_flag(text: str | None) -> dict[str, float]:
         if "=" not in part:
             raise GameFileError([f"parameter {part!r} is not name=value"])
         key, value = part.split("=", 1)
-        out[key.strip()] = float(value)
+        out[key.strip()] = _number(value, "--params")
     return out
 
 
@@ -413,12 +425,10 @@ def _cmd_best_response(args) -> tuple[Report, int]:
     family = _family_from(args, gf)
     player = _resolve_player(args.player, game.player_names or [str(i) for i in range(game.players)])
     other_idx = [i for i in range(game.players) if i != player]
-    diagnostics = {}
     if family.kind == FINITE_SET:
-        mixtures = _parse_mixtures(args.others, len(other_idx), family)
+        mixtures = _parse_mixtures(args.others, len(other_idx), family, "--others")
         others = dict(zip(other_idx, mixtures))
-        diagnostics["tol"] = args.tol
-        probs = best_response_mixed_finite(qg, player, others, family, tol=args.tol)
+        probs = best_response_mixed_finite(qg, player, others, family)
         results = {
             "player": game.name_of(player),
             "best_mixture": {label: float(p) for label, p in zip(family.labels, probs)},
@@ -438,7 +448,7 @@ def _cmd_best_response(args) -> tuple[Report, int]:
         "best-response",
         {"game": args.game, "player": args.player, "others": args.others},
         results,
-        diagnostics,
+        {},
     )
     return report, 0
 
@@ -450,7 +460,7 @@ def _cmd_verify_nash(args) -> tuple[Report, int]:
     family = _family_from(args, gf)
     config = SearchConfig(epsilon=args.epsilon)
     if family.kind == FINITE_SET:
-        mixtures = _parse_mixtures(args.profile, game.players, family)
+        mixtures = _parse_mixtures(args.profile, game.players, family, "--profile")
         rep = verify_nash_mixed_finite(qg, mixtures, (family,) * game.players, config)
         profile_echo = [
             {label: float(p) for label, p in zip(family.labels, m.probabilities)}
@@ -487,7 +497,7 @@ def _cmd_pareto(args) -> tuple[Report, int]:
             if ":" not in spec:
                 raise GameFileError([f"entry {spec!r} is not label:v1,v2,..."])
             label, values = spec.split(":", 1)
-            entries.append((label.strip(), [float(v) for v in values.split(",")]))
+            entries.append((label.strip(), [_number(v, "--entry") for v in values.split(",")]))
     else:
         entries = [
             (_play_token(game, play), list(game.payoff_vector(play)))
@@ -609,7 +619,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--player", required=True, help="player name or 0-based index")
     p.add_argument("--others", required=True, help="other players' strategies")
     p.add_argument("--family", choices=("one_param", "two_param", "three_param", "finite_set"))
-    p.add_argument("--tol", type=float, default=TOL, help="tolerance of the finite_set mixture search")
     p.set_defaults(func=_cmd_best_response)
 
     p = sub.add_parser("verify-nash", help="certify or refute a profile")

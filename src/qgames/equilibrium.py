@@ -1,10 +1,16 @@
 """Exact best responses and equilibrium certification for quantum games.
 
-A player's payoff, with the other players' operators V_j held fixed, is a
-quartic form in their own local operator U:
+A player's payoff, with the other players' unitaries or mixtures held
+fixed, is a quartic form in their own local operator U:
 
     payoff(U) = Σ U[a,b]·conj(U[c,d])·T[a,b,c,d]
-    T[a,b,c,d] = Tr[C_ab ρ C_cd† π̂],   C_ab = V_1 ⊗ .. ⊗ e_ab ⊗ .. ⊗ V_n
+    T[a,b,c,d] = Tr[e_ab σ e_cd† π̂]
+
+where σ is the start ρ after every other player's unitary or mixture and
+e_ab acts on the player's own factor. One form serves both certifiers: a
+finite operator menu is read at its vertices (the payoff is affine in the
+player's own mixture, so some menu operator is a best response), and an
+SU(2) family is searched as below.
 
 On a qubit every strategy family lies in SU(2). Writing
 U = x0·I + x1·iZ + x2·iY + x3·iX = [[α, β], [−β*, α*]] with the unit real
@@ -25,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -35,9 +41,8 @@ from .quantum import TOL, DensityMatrix, UnitaryOperator, dagger
 from .quantumize import (
     OperatorMixture,
     QuantumGame,
-    _apply_local,
+    _apply_mixture,
     expected_payoffs_mixed,
-    expected_payoffs_q,
 )
 from .strategies import (
     FINITE_SET,
@@ -74,8 +79,8 @@ class SearchConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.epsilon <= 0:
-            raise ParameterError("epsilon must be positive")
+        if not 0 < self.epsilon < np.inf:
+            raise ParameterError(f"epsilon must be positive and finite, got {self.epsilon}")
 
 
 @dataclass(frozen=True)
@@ -98,9 +103,10 @@ class EquilibriumReport:
 
 
 class _LocalPayoff:
-    """One player's payoff as a quartic form in their local operator."""
+    """One player's payoff as a quartic form in their local operator, after
+    the other players' unitaries, bare matrices or ``OperatorMixture``s."""
 
-    def __init__(self, qg: QuantumGame, player: int, others: Mapping[int, np.ndarray]):
+    def __init__(self, qg: QuantumGame, player: int, others: Mapping[int, object]):
         n = qg.base.players
         rho = qg.initial_state.matrix
         for j in range(n):
@@ -109,22 +115,18 @@ class _LocalPayoff:
             if j not in others:
                 raise ShapeError(f"missing fixed strategy for player {j}")
             m = others[j]
-            m = m.matrix if isinstance(m, UnitaryOperator) else np.asarray(m, dtype=complex)
-            if m.shape[0] != qg.local_dims[j]:
-                raise ShapeError(
-                    f"fixed operator for player {j} has dimension {m.shape[0]}, "
-                    f"expected {qg.local_dims[j]}"
-                )
-            rho = _apply_local(rho, m, j, qg.local_dims)
-        # with ρ' the state after the fixed operators and the player's ket
-        # and bra axes moved to the front, T[a,b,c,d] = Tr[e_ab ρ' e_cd† π̂]
-        # = Σ_{X,Y} ρ'[(b,X),(d,Y)]·π̂[(c,Y),(a,X)]
+            m = m if isinstance(m, OperatorMixture) else OperatorMixture.pure(m)
+            rho = _apply_mixture(rho, m, j, qg.local_dims)
+        # with σ the state after the other players' moves and the player's
+        # ket and bra axes moved to the front, T[a,b,c,d] = Tr[e_ab σ e_cd† π̂]
+        # = Σ_{X,Y} σ[(b,X),(d,Y)]·π̂[(c,Y),(a,X)]
         d = qg.local_dims[player]
         v = qg.basis.unitary
         pihat = (v * qg.payoff_vectors[player]) @ dagger(v)
         front, shape = (player, n + player), (d, d, qg.dim // d, qg.dim // d)
         rho = np.moveaxis(rho.reshape(qg.local_dims * 2), front, (0, 1)).reshape(shape)
         pihat = np.moveaxis(pihat.reshape(qg.local_dims * 2), front, (0, 1)).reshape(shape)
+        self.player = player
         self.dim = d
         self.coeff = np.einsum("bdxy,cayx->abcd", rho, pihat)
 
@@ -174,13 +176,86 @@ def _point_from_vector(family: StrategyFamily, x: np.ndarray) -> ParamPoint:
     return (theta, _half_open_period(phi), _half_open_period(lam))
 
 
+def _check_dim(form: _LocalPayoff, family: StrategyFamily) -> None:
+    if family.dim != form.dim:
+        raise ShapeError(
+            f"family dimension {family.dim} does not match player "
+            f"{form.player}'s subsystem dimension {form.dim}"
+        )
+
+
+def _su2_response(form: _LocalPayoff, family: StrategyFamily) -> tuple[ParamPoint, float]:
+    if family.kind == FINITE_SET:
+        raise UnsupportedError(
+            "best_response searches parameterized families; "
+            "use best_response_mixed_finite for finite operator sets"
+        )
+    _check_dim(form, family)
+    m = _SU2_BASIS.T @ form.coeff.reshape(4, 4) @ _SU2_BASIS.conj()
+    m = ((m + m.T) / 2).real
+    if family.kind == THREE_PARAM:
+        x = np.linalg.eigh(m)[1][:, -1]
+        if x[np.flatnonzero(np.abs(x) > _FACE_TOL)[0]] < 0:
+            x = -x
+    else:
+        x = _orthant_argmax(m, _ORTHANT_COORDS[family.kind])
+    point = _point_from_vector(family, x)
+    return point, form.value(unitary_matrix(family, point))
+
+
+def _finite_response(form: _LocalPayoff, operator_set: StrategyFamily) -> tuple[np.ndarray, float]:
+    """The uniform mixture over the menu operators within ``TOL`` of the
+    best one, and that best payoff. The payoff is affine in the player's
+    own mixture, so some vertex is always optimal."""
+    if operator_set.kind != FINITE_SET:
+        raise UnsupportedError("vertex enumeration needs a finite operator set")
+    _check_dim(form, operator_set)
+    values = form.values(np.array([m for _, m in operator_set.operators]))
+    top = values.max()
+    optimal = values >= top - TOL
+    out = np.zeros(len(values))
+    out[optimal] = 1.0 / optimal.sum()
+    return out, top
+
+
+def _certify(qg: QuantumGame, mixtures: list[OperatorMixture], respond: Callable[[int, _LocalPayoff], tuple],
+             profile_echo: tuple, config: SearchConfig, reference: Sequence) -> EquilibriumReport:
+    """ε-test of a profile of mixtures: ``respond(i, form)`` returns player
+    i's best response and its payoff, given i's form after the others'
+    mixtures. ``profile_echo`` is the profile as the report shows it."""
+    payoffs = expected_payoffs_mixed(qg, mixtures)
+    n = qg.base.players
+    gains, responses = [], []
+    for i in range(n):
+        form = _LocalPayoff(qg, i, {j: mixtures[j] for j in range(n) if j != i})
+        response, value = respond(i, form)
+        gains.append(float(value - payoffs[i]))
+        responses.append(tuple(response))
+    max_gain = max(gains)
+    flags = {
+        str(label): pareto_relation(payoffs, np.asarray(ref, dtype=float))
+        for label, ref in reference
+    }
+    return EquilibriumReport(
+        profile=profile_echo,
+        payoffs=tuple(float(v) for v in payoffs),
+        certified=max_gain <= config.epsilon,
+        max_unilateral_gain=max_gain,
+        epsilon=config.epsilon,
+        gains=tuple(gains),
+        best_responses=tuple(responses),
+        pareto_flags=flags,
+    )
+
+
 def best_response(
     qg: QuantumGame,
     player: int,
-    others: Mapping[int, "UnitaryOperator | np.ndarray"],
+    others: Mapping[int, "UnitaryOperator | np.ndarray | OperatorMixture"],
     family: StrategyFamily,
 ) -> tuple[ParamPoint, float]:
-    """Best parameter point for ``player`` with the other players fixed.
+    """Best parameter point for ``player`` with the other players' unitaries
+    or mixtures fixed.
 
     Exact: the payoff is the quadratic form xᵀMx in the player's SU(2)
     coordinates x (module docstring). three_param takes the top eigenvector
@@ -194,31 +269,7 @@ def best_response(
     submatrix's eigenvectors in ascending eigenvalue order; a later
     candidate replaces the incumbent only when better by more than 1e-13.
     """
-    if family.kind == FINITE_SET:
-        raise UnsupportedError(
-            "best_response searches parameterized families; "
-            "use best_response_mixed_finite for finite operator sets"
-        )
-    if family.dim != qg.local_dims[player]:
-        raise ShapeError(
-            f"family dimension {family.dim} does not match player "
-            f"{player}'s subsystem dimension {qg.local_dims[player]}"
-        )
-    surface = _LocalPayoff(qg, player, others)
-    form = _SU2_BASIS.T @ surface.coeff.reshape(4, 4) @ _SU2_BASIS.conj()
-    form = ((form + form.T) / 2).real
-    if family.kind == THREE_PARAM:
-        x = np.linalg.eigh(form)[1][:, -1]
-        if x[np.flatnonzero(np.abs(x) > _FACE_TOL)[0]] < 0:
-            x = -x
-    else:
-        x = _orthant_argmax(form, _ORTHANT_COORDS[family.kind])
-    point = _point_from_vector(family, x)
-    return point, surface.value(unitary_matrix(family, point))
-
-
-def profile_unitaries(family: StrategyFamily, profile: Sequence[ParamPoint]) -> list[UnitaryOperator]:
-    return [param_unitary(family, point) for point in profile]
+    return _su2_response(_LocalPayoff(qg, player, others), family)
 
 
 def verify_nash(
@@ -230,34 +281,15 @@ def verify_nash(
 ) -> EquilibriumReport:
     """ε-Nash check of a parameterized profile.
 
-    Runs :func:`best_response` for every player with the rest of the
-    profile held fixed; certifies when the largest unilateral gain is at
-    most ``config.epsilon``. ``reference`` entries (label, payoff vector)
-    are Pareto-compared against the profile payoffs.
+    Takes every player's exact best response with the rest of the profile
+    held fixed; certifies when the largest unilateral gain is at most
+    ``config.epsilon``. ``reference`` entries (label, payoff vector) are
+    Pareto-compared against the profile payoffs.
     """
-    units = profile_unitaries(family, profile)
-    payoffs = expected_payoffs_q(qg, units)
-    gains = []
-    responses = []
-    for i in range(qg.base.players):
-        others = {j: units[j] for j in range(qg.base.players) if j != i}
-        point, value = best_response(qg, i, others, family)
-        gains.append(float(value - payoffs[i]))
-        responses.append(point)
-    max_gain = max(gains)
-    flags = {
-        str(label): pareto_relation(payoffs, np.asarray(ref, dtype=float))
-        for label, ref in reference
-    }
-    return EquilibriumReport(
-        profile=tuple(tuple(p) for p in profile),
-        payoffs=tuple(float(v) for v in payoffs),
-        certified=max_gain <= config.epsilon,
-        max_unilateral_gain=max_gain,
-        epsilon=config.epsilon,
-        gains=tuple(gains),
-        best_responses=tuple(responses),
-        pareto_flags=flags,
+    mixtures = [OperatorMixture.pure(param_unitary(family, point)) for point in profile]
+    return _certify(
+        qg, mixtures, lambda i, form: _su2_response(form, family),
+        tuple(tuple(p) for p in profile), config, reference,
     )
 
 
@@ -265,32 +297,11 @@ def verify_nash(
 # finite operator sets (mixtures)
 # ---------------------------------------------------------------------------
 
-def _vertex_payoffs(
-    qg: QuantumGame,
-    player: int,
-    others: Mapping[int, OperatorMixture],
-    operator_set: StrategyFamily,
-) -> np.ndarray:
-    if operator_set.kind != FINITE_SET:
-        raise UnsupportedError("vertex enumeration needs a finite operator set")
-    values = []
-    for _, op in operator_set.operators:
-        mixtures = []
-        for j in range(qg.base.players):
-            if j == player:
-                mixtures.append(OperatorMixture.pure(op))
-            else:
-                mixtures.append(others[j])
-        values.append(expected_payoffs_mixed(qg, mixtures)[player])
-    return np.asarray(values)
-
-
 def best_response_mixed_finite(
     qg: QuantumGame,
     player: int,
     others: Mapping[int, OperatorMixture],
     operator_set: StrategyFamily,
-    tol: float = TOL,
 ) -> np.ndarray:
     """Best mixture over a finite operator set against fixed opponent mixtures.
 
@@ -298,12 +309,7 @@ def best_response_mixed_finite(
     operator (a vertex) is always optimal; ties return the uniform
     distribution over all optimal vertices.
     """
-    values = _vertex_payoffs(qg, player, others, operator_set)
-    top = values.max()
-    optimal = values >= top - tol
-    out = np.zeros(len(values))
-    out[optimal] = 1.0 / optimal.sum()
-    return out
+    return _finite_response(_LocalPayoff(qg, player, others), operator_set)[0]
 
 
 def verify_nash_mixed_finite(
@@ -316,33 +322,12 @@ def verify_nash_mixed_finite(
     """ε-Nash check of a mixed profile over finite operator sets.
 
     Affinity in each player's own mixture means the best deviation is a
-    vertex, so per-player gains come from vertex enumeration alone.
+    vertex, so per-player gains come from the form's vertex values alone.
     """
     mixtures = list(mixtures)
-    payoffs = expected_payoffs_mixed(qg, mixtures)
-    gains = []
-    responses = []
-    for i in range(qg.base.players):
-        others = {j: mixtures[j] for j in range(qg.base.players) if j != i}
-        values = _vertex_payoffs(qg, i, others, operator_sets[i])
-        gains.append(float(values.max() - payoffs[i]))
-        responses.append(
-            best_response_mixed_finite(qg, i, others, operator_sets[i])
-        )
-    max_gain = max(gains)
-    flags = {
-        str(label): pareto_relation(payoffs, np.asarray(ref, dtype=float))
-        for label, ref in reference
-    }
-    return EquilibriumReport(
-        profile=tuple(tuple(m.probabilities) for m in mixtures),
-        payoffs=tuple(float(v) for v in payoffs),
-        certified=max_gain <= config.epsilon,
-        max_unilateral_gain=max_gain,
-        epsilon=config.epsilon,
-        gains=tuple(gains),
-        best_responses=tuple(tuple(r) for r in responses),
-        pareto_flags=flags,
+    return _certify(
+        qg, mixtures, lambda i, form: _finite_response(form, operator_sets[i]),
+        tuple(tuple(m.probabilities) for m in mixtures), config, reference,
     )
 
 

@@ -122,6 +122,9 @@ def _complex_matrix(value, path: str, errs: _Collector) -> np.ndarray:
         return np.zeros((1, 1), dtype=complex)
     rows = len(value)
     cols = len(value[0]) if rows else 0
+    if not cols:
+        errs.add(path, "matrix is empty")
+        return np.zeros((1, 1), dtype=complex)
     out = np.zeros((rows, cols), dtype=complex)
     for i, row in enumerate(value):
         if len(row) != cols:

@@ -195,6 +195,8 @@ class OperatorMixture:
         )
         if len(probs) != len(ops):
             raise ShapeError(f"{len(probs)} probabilities for {len(ops)} operators")
+        if not np.all(np.isfinite(probs)):
+            raise ValidationError("mixture probabilities must be finite")
         if np.any(probs < -tol):
             raise ValidationError("mixture probabilities must be nonnegative")
         if abs(probs.sum() - 1.0) > tol:
@@ -233,6 +235,19 @@ def product_channel(mixtures: Sequence[OperatorMixture], tol: float = TOL) -> Kr
     return KrausChannel(np.asarray(kraus), tol)
 
 
+def _apply_mixture(rho: np.ndarray, mixture: OperatorMixture, player: int, dims: Sequence[int]) -> np.ndarray:
+    """``Σ_k p_k U_k ρ U_k†`` with every ``U_k`` on ``player``'s factor of ``dims``."""
+    if mixture.dim != dims[player]:
+        raise ShapeError(
+            f"mixture for player {player} has dimension {mixture.dim}, expected {dims[player]}"
+        )
+    return sum(
+        p * _apply_local(rho, u.matrix, player, dims)
+        for p, u in zip(mixture.probabilities, mixture.operators)
+        if p > 0.0
+    )
+
+
 def mixed_final_state(qg: QuantumGame, mixtures: Sequence[OperatorMixture]) -> DensityMatrix:
     """The state after every player's mixture: ``ρ → Σ_k p_k U_k ρ U_k†`` on
     each player's factor in turn."""
@@ -243,15 +258,7 @@ def mixed_final_state(qg: QuantumGame, mixtures: Sequence[OperatorMixture]) -> D
         )
     rho = qg.initial_state.matrix
     for i, m in enumerate(mixtures):
-        if m.dim != qg.local_dims[i]:
-            raise ShapeError(
-                f"mixture for player {i} has dimension {m.dim}, expected {qg.local_dims[i]}"
-            )
-        rho = sum(
-            p * _apply_local(rho, u.matrix, i, qg.local_dims)
-            for p, u in zip(m.probabilities, m.operators)
-            if p > 0.0
-        )
+        rho = _apply_mixture(rho, m, i, qg.local_dims)
     return DensityMatrix(rho)
 
 

@@ -3,9 +3,13 @@ from __future__ import annotations
 
 import numpy as np
 
+from typing import Mapping
+
 from qgames.classical import ClassicalGame
+from qgames.errors import UnsupportedError
 from qgames.quantum import DensityMatrix, MeasurementBasis
-from qgames.quantumize import QuantumGame, build_ewl
+from qgames.quantumize import OperatorMixture, QuantumGame, build_ewl, expected_payoffs_mixed
+from qgames.strategies import FINITE_SET, StrategyFamily
 
 
 def random_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
@@ -54,3 +58,25 @@ def random_quantum_game(rng: np.random.Generator, players: int | None = None) ->
     dim = int(np.prod(game.shape))
     basis = random_projective_basis(rng, list(game.plays()))
     return build_ewl(game, random_density(rng, dim), basis)
+
+
+def _vertex_payoffs(
+    qg: QuantumGame,
+    player: int,
+    others: Mapping[int, OperatorMixture],
+    operator_set: StrategyFamily,
+) -> np.ndarray:
+    """Oracle: ``player``'s payoff at each menu operator, each from a full
+    mixed evolution of the state."""
+    if operator_set.kind != FINITE_SET:
+        raise UnsupportedError("vertex enumeration needs a finite operator set")
+    values = []
+    for _, op in operator_set.operators:
+        mixtures = []
+        for j in range(qg.base.players):
+            if j == player:
+                mixtures.append(OperatorMixture.pure(op))
+            else:
+                mixtures.append(others[j])
+        values.append(expected_payoffs_mixed(qg, mixtures)[player])
+    return np.asarray(values)

@@ -19,7 +19,7 @@ from qgames.classical import (
     pareto_relation,
     pure_nash,
 )
-from qgames.errors import ShapeError, UnsupportedError
+from qgames.errors import ShapeError, UnsupportedError, ValidationError
 
 
 @pytest.fixture(scope="module")
@@ -101,6 +101,11 @@ class TestExpectedPayoffs:
         profile = MixedProfile((np.array([1.0]), np.array([0.5, 0.5])))
         with pytest.raises(ShapeError):
             expected_payoffs(dilemma, profile)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_probability_rejected(self, bad):
+        with pytest.raises(ValidationError, match="player 1 has non-finite"):
+            MixedProfile((np.array([0.5, 0.5]), np.array([bad, 1.0])))
 
 
 class TestDominantStrategies:

@@ -162,6 +162,34 @@ class TestBestResponse:
         assert report.results["best_mixture"] == {"I": 1.0, "X": 0.0}
 
 
+def _count_density_matrices(monkeypatch) -> Counter:
+    counts = Counter()
+
+    def counted(self, tol, _original=DensityMatrix.__post_init__):
+        counts["DensityMatrix"] += 1
+        _original(self, tol)
+
+    monkeypatch.setattr(DensityMatrix, "__post_init__", counted)
+    return counts
+
+
+class TestFiniteSetStates:
+    """A finite-set command reads the vertex payoffs off one local form, so
+    it builds a state only for the parsed start and the profile's result."""
+
+    def test_verify_nash(self, game_files, monkeypatch):
+        counts = _count_density_matrices(monkeypatch)
+        _, code = run(["verify-nash", "--game", game_files["battle_of_sexes"], "--profile", "0.5,0.5;0.5,0.5"])
+        assert code == 0
+        assert counts == {"DensityMatrix": 2}
+
+    def test_best_response(self, game_files, monkeypatch):
+        counts = _count_density_matrices(monkeypatch)
+        _, code = run(["best-response", "--game", game_files["battle_of_sexes"], "--player", "A", "--others", "0.3,0.7"])
+        assert code == 0
+        assert counts == {"DensityMatrix": 1}
+
+
 class TestVerifyNash:
     def test_certified_exit_zero(self, game_files):
         report, code = run(
@@ -335,6 +363,11 @@ class TestDeterminismAndErrors:
         report, _ = run(["quantumize", "--game", game_files["prisoners_dilemma"]])
         assert report.diagnostics == {}
         assert "config:" not in report.to_text()
+        report, _ = run(
+            ["best-response", "--game", game_files["battle_of_sexes"], "--player", "A", "--others", "I"]
+        )
+        assert report.diagnostics == {}
+        assert "config:" not in report.to_text()
 
     @pytest.mark.parametrize(
         "argv",
@@ -342,6 +375,7 @@ class TestDeterminismAndErrors:
             ["payoff", "--play", "0;0", "--tol", "1e-6"],
             ["verify-nash", "--profile", "0;0", "--seed", "7"],
             ["analyze", "--epsilon", "1e-5"],
+            ["best-response", "--player", "0", "--others", "pi,0", "--tol", "1e-6"],
         ],
     )
     def test_settings_a_command_does_not_read_are_rejected(self, game_files, argv):
@@ -397,6 +431,48 @@ def _qubit_game(path, n):
     }
     path.write_text(json.dumps(doc))
     return str(path), doc
+
+
+class TestNumericTokens:
+    """Every numeric CLI token must be a finite number; anything else is an
+    input error that names its flag and the token."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["verify-nash", "--game", "BOS", "--profile", "pi,0;0,1"], "--profile: 'pi' is not a number"),
+            (["verify-nash", "--game", "BOS", "--profile", "0.5,0.5;nan,1"], "--profile: 'nan' is not finite"),
+            (["best-response", "--game", "BOS", "--player", "A", "--others", "pi,0"], "--others: 'pi' is not a number"),
+            (["demo", "prisoners_dilemma", "--params", "alpha=x"], "--params: 'x' is not a number"),
+            (["export", "prisoners_dilemma", "--params", "alpha=inf"], "--params: 'inf' is not finite"),
+            (["pareto", "--game", "BOS", "--entry", "a:x,1"], "--entry: 'x' is not a number"),
+            (["pareto", "--game", "BOS", "--entry", "a:nan,1", "--entry", "b:1,1"], "--entry: 'nan' is not finite"),
+        ],
+        ids=["profile-word", "profile-nan", "others-word", "demo-params", "export-params", "entry-word", "entry-nan"],
+    )
+    def test_exit_two_naming_the_flag(self, game_files, capsys, argv, message):
+        argv = [game_files["battle_of_sexes"] if a == "BOS" else a for a in argv]
+        report, code = run(argv)
+        assert (report, code) == (None, 2)
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
+
+    def test_empty_initial_state_is_input_error(self, game_files, tmp_path, capsys):
+        with open(game_files["prisoners_dilemma"], encoding="utf-8") as fh:
+            doc = json.load(fh)
+        doc["quantum"]["initial_state"] = []
+        path = tmp_path / "empty.json"
+        path.write_text(json.dumps(doc))
+        _, code = run(["analyze", "--game", str(path)])
+        assert code == 2
+        assert capsys.readouterr().err == "error: quantum.initial_state: matrix is empty\n"
+
+    def test_non_finite_epsilon_is_input_error(self, game_files):
+        _, code = run(
+            ["verify-nash", "--game", game_files["battle_of_sexes"], "--profile", "I;I", "--epsilon", "nan"]
+        )
+        assert code == 2
 
 
 class TestInputLimits:

@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from helpers import random_quantum_game, random_unitary
+from helpers import _vertex_payoffs, random_quantum_game, random_unitary
 from qgames.catalog import load
 from qgames.classical import ClassicalGame
 from qgames.equilibrium import (
@@ -16,7 +16,7 @@ from qgames.equilibrium import (
     verify_nash_mixed_finite,
 )
 from qgames.errors import UnsupportedError
-from qgames.quantum import DensityMatrix, UnitaryOperator
+from qgames.quantum import TOL, DensityMatrix, UnitaryOperator
 from qgames.quantumize import (
     OperatorMixture,
     build_ewl,
@@ -157,16 +157,26 @@ class TestExactAgainstGridOracle:
 
 
 class TestLocalPayoffForm:
-    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("seed", range(12))
     def test_form_matches_the_payoff(self, seed):
-        # 2-4 players of dimensions 2 and 3, random bases and mixed starts
+        # 2-4 players of dimensions 2 and 3, random bases and mixed starts;
+        # the other players play bare unitaries (even seeds) or mix 1-3
+        # unitaries (odd seeds)
         rng = np.random.default_rng(1200 + seed)
         qg = random_quantum_game(rng, players=2 + seed % 3)
         player = seed % qg.base.players
-        play = [random_unitary(rng, d) for d in qg.local_dims]
-        surface = _LocalPayoff(qg, player, {j: u for j, u in enumerate(play) if j != player})
-        want = expected_payoffs_q(qg, [UnitaryOperator(u) for u in play])[player]
-        assert abs(surface.value(play[player]) - want) <= 1e-12
+        mixtures = []
+        for d in qg.local_dims:
+            k = 1 if seed % 2 == 0 else int(rng.integers(1, 4))
+            mixtures.append(OperatorMixture(rng.dirichlet(np.ones(k)), tuple(random_unitary(rng, d) for _ in range(k))))
+        own = random_unitary(rng, qg.local_dims[player])
+        mixtures[player] = OperatorMixture.pure(own)
+        others = {
+            j: m if seed % 2 else m.operators[0].matrix for j, m in enumerate(mixtures) if j != player
+        }
+        surface = _LocalPayoff(qg, player, others)
+        want = expected_payoffs_mixed(qg, mixtures)[player]
+        assert abs(surface.value(own) - want) <= 1e-12
 
 
 class TestVerifyNash:
@@ -360,6 +370,38 @@ class TestFiniteSetResponses:
         assert report.gains[0] == pytest.approx(0.0, abs=1e-12)
         assert report.gains[1] == pytest.approx(0.45, abs=1e-9)
         np.testing.assert_allclose(report.best_responses[1], (1.0, 0.0))
+
+
+def _random_menu_profile(rng, qg):
+    """A random menu of 1-3 unitaries per player and a random mixture over it."""
+    menus, mixtures = [], []
+    for i, d in enumerate(qg.local_dims):
+        k = int(rng.integers(1, 4))
+        menu = StrategyFamily.finite(tuple((f"m{i}{a}", random_unitary(rng, d)) for a in range(k)))
+        menus.append(menu)
+        mixtures.append(OperatorMixture.over_family(menu, rng.dirichlet(np.ones(k))))
+    return menus, mixtures
+
+
+class TestFiniteSetAgainstVertexOracle:
+    """The local form read at a menu's vertices agrees with a full mixed
+    evolution per vertex."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_gains_and_responses(self, seed):
+        rng = np.random.default_rng(1400 + seed)
+        qg = random_quantum_game(rng, players=2 + seed % 3)
+        menus, mixtures = _random_menu_profile(rng, qg)
+        report = verify_nash_mixed_finite(qg, mixtures, menus)
+        payoffs = expected_payoffs_mixed(qg, mixtures)
+        for i in range(qg.base.players):
+            others = {j: m for j, m in enumerate(mixtures) if j != i}
+            values = _vertex_payoffs(qg, i, others, menus[i])
+            assert abs(report.gains[i] - (values.max() - payoffs[i])) <= 1e-12
+            optimal = values >= values.max() - TOL
+            want = np.where(optimal, 1.0 / optimal.sum(), 0.0)
+            np.testing.assert_allclose(best_response_mixed_finite(qg, i, others, menus[i]), want, atol=1e-12)
+            np.testing.assert_allclose(report.best_responses[i], want, atol=1e-12)
 
 
 class TestParetoReport:

@@ -172,6 +172,24 @@ class TestValidation:
             parse_game_file(json.dumps(doc))
         assert err.value.errors[0].startswith("quantum.initial_state[0][0]: expected an [re, im] pair")
 
+    @pytest.mark.parametrize("empty", [[], [[]]])
+    @pytest.mark.parametrize(
+        "name, field, path",
+        [
+            ("prisoners_dilemma", "initial_state", "quantum.initial_state"),
+            ("battle_of_sexes", "family", "quantum.family.operators[0].matrix"),
+        ],
+    )
+    def test_empty_matrix_names_its_field(self, name, field, path, empty):
+        doc = _doc(name)
+        if field == "family":
+            doc["quantum"]["family"]["operators"][0]["matrix"] = empty
+        else:
+            doc["quantum"][field] = empty
+        with pytest.raises(GameFileError) as err:
+            parse_game_file(json.dumps(doc))
+        assert err.value.errors == [f"{path}: matrix is empty"]
+
     def test_non_unitary_family_operator(self):
         doc = _doc("battle_of_sexes")
         doc["quantum"]["family"]["operators"][0]["matrix"] = [

@@ -226,6 +226,11 @@ class TestExpectedPayoffsMixed:
         with pytest.raises(ValidationError):
             OperatorMixture([1.5, -0.5], (IDENTITY, FLIP))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_probability_rejected(self, bad):
+        with pytest.raises(ValidationError, match="finite"):
+            OperatorMixture([0.5, bad], (IDENTITY, FLIP))
+
 
 class TestSequential:
     def test_penny_always_win(self, penny_seq):
