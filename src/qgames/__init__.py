@@ -21,7 +21,6 @@ from .classical import (
 from .equilibrium import (
     EquilibriumReport,
     ParetoReport,
-    SearchConfig,
     best_response,
     best_response_mixed_finite,
     forcing_response,

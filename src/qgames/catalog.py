@@ -6,7 +6,7 @@ Three parameterized entries are provided:
   (player C picks one move, player Q picks a pair) and as a sequential
   quantum game on a single qubit with schedule Q, C, Q.
 * ``prisoners_dilemma(alpha, beta, gamma)`` — sentences with
-  gamma < beta < alpha; quantumized on the entangled start
+  0 < gamma < beta < alpha; quantumized on the entangled start
   (|00⟩ + i|11⟩)/√2 with the matching entangled measurement basis.
 * ``battle_of_sexes(alpha, beta, gamma)`` — preferences alpha > beta >
   gamma; quantumized on |Φ⁺⟩ with local operator set {I, X}. The
@@ -15,10 +15,24 @@ Three parameterized entries are provided:
 
 Every documented solution is stored as a formula over the entry's
 parameters and re-verified against the engine at load time.
+
+The dilemma has no pure equilibrium over all of SU(2), and this is proved,
+not sampled. Each player's forcing response reaches that player's top
+payoff against any opponent move, so at a profile with payoffs π the two
+unilateral gains add up to Σ_i (top_i − π_i) ≥ δ, where
+δ = min over plays of Σ_i (top_i − π_i(play)) = min(2γ, α, 2β). The larger
+gain is therefore at least δ/2 at every profile, and every profile is
+refuted when δ/2 > 10ε. The premise is checked on the engine: the forced
+final state is a real quadratic in the opponent's SU(2) coordinates x, so
+it is fixed by its values at the 4 units and their 6 normalized pairwise
+sums. Where each of those lands on the player's top play (unique when
+γ > 0), every coefficient of the quadratic lies along that play's basis
+vector, and so does the forced state at every x.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations
 from typing import Callable
 
 import numpy as np
@@ -35,7 +49,8 @@ from .classical import (
 )
 from .errors import ParameterError, ValidationError
 from .equilibrium import (
-    SearchConfig,
+    _SU2_BASIS,
+    _require_epsilon,
     best_response,
     forcing_response,
     pareto_report,
@@ -58,7 +73,6 @@ from .strategies import (
     HADAMARD,
     IDENTITY,
     StrategyFamily,
-    param_unitary,
 )
 
 CATALOG_NAMES = ("penny_flip", "prisoners_dilemma", "battle_of_sexes")
@@ -80,6 +94,13 @@ PHI_PLUS = np.array([1, 0, 0, 1]) / _SQRT2
 PSI_PLUS = np.array([0, 1, 1, 0]) / _SQRT2
 PSI_MINUS = np.array([0, 1, -1, 0]) / _SQRT2
 PHI_MINUS = np.array([1, 0, 0, -1]) / _SQRT2
+
+
+#: SU(2) coordinates x of the 4 units and their 6 normalized pairwise sums:
+#: a real quadratic in x is fixed by its values there.
+_SU2_POINTS = np.vstack(
+    [np.eye(4)] + [(np.eye(4)[j] + np.eye(4)[k]) / _SQRT2 for j, k in combinations(range(4), 2)]
+)
 
 
 def eta_basis() -> MeasurementBasis:
@@ -113,7 +134,7 @@ class DocumentedSolution:
     kind: str
     payoffs: tuple[float, ...] | None
     note: str
-    check: Callable[["CatalogEntry", SearchConfig], SolutionCheck] = field(repr=False)
+    check: Callable[["CatalogEntry", float], SolutionCheck] = field(repr=False)
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,9 +147,9 @@ class CatalogEntry:
     documented_solutions: tuple[DocumentedSolution, ...]
     notes: tuple[str, ...] = ()
 
-    def verify(self, config: SearchConfig | None = None) -> list[SolutionCheck]:
-        config = config or SearchConfig()
-        return [sol.check(self, config) for sol in self.documented_solutions]
+    def verify(self, epsilon: float = 1e-6) -> list[SolutionCheck]:
+        _require_epsilon(epsilon)
+        return [sol.check(self, epsilon) for sol in self.documented_solutions]
 
 
 def _require_params(name, given, defaults, constraint, constraint_text):
@@ -141,16 +162,6 @@ def _require_params(name, given, defaults, constraint, constraint_text):
     if not constraint(params):
         raise ParameterError(f"{name} requires {constraint_text}, got {params}")
     return params
-
-
-def _payoff_check(label, note, expected, actual, tol=1e-9, extra=None):
-    expected = np.asarray(expected, dtype=float)
-    actual = np.asarray(actual, dtype=float)
-    passed = bool(np.all(np.abs(expected - actual) <= tol))
-    details = {"expected": tuple(expected), "actual": tuple(actual)}
-    if extra:
-        details.update(extra)
-    return SolutionCheck(label, passed, details)
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +190,7 @@ def _penny_flip() -> CatalogEntry:
         player_names=("Q", "C"),
     )
 
-    def check_no_classical_solution(entry, config):
+    def check_no_classical_solution(entry, epsilon):
         dominant = dominant_strategies(entry.classical)
         nash = pure_nash(entry.classical)
         passed = dominant == (None, None) and nash == []
@@ -189,7 +200,7 @@ def _penny_flip() -> CatalogEntry:
             {"dominant": dominant, "pure_nash": nash},
         )
 
-    def check_mixed_equilibrium(entry, config):
+    def check_mixed_equilibrium(entry, epsilon):
         profile = MixedProfile((np.array([0.5, 0.5]), np.full(4, 0.25)))
         payoffs = expected_payoffs(entry.classical, profile)
         gain = max_pure_deviation_gain(entry.classical, profile)
@@ -200,7 +211,7 @@ def _penny_flip() -> CatalogEntry:
             {"payoffs": tuple(payoffs), "max_deviation_gain": gain},
         )
 
-    def check_always_win(entry, config):
+    def check_always_win(entry, epsilon):
         results = {}
         ok = True
         for name in ("F", "N"):
@@ -274,7 +285,7 @@ def _prisoners_dilemma(params) -> CatalogEntry:
         eta_basis(),
     )
 
-    def check_classical(entry, config):
+    def check_classical(entry, epsilon):
         dominant = dominant_strategies(entry.classical)
         nash = pure_nash(entry.classical)
         pareto = pareto_optimal_plays(entry.classical)
@@ -290,24 +301,27 @@ def _prisoners_dilemma(params) -> CatalogEntry:
             {"dominant": dominant, "pure_nash": nash, "pareto_optimal": pareto},
         )
 
-    def check_one_param(entry, config):
+    def check_one_param(entry, epsilon):
         family = StrategyFamily.one_param()
-        report = verify_nash(entry.quantum, ((np.pi,), (np.pi,)), family, config)
-        return _payoff_check(
+        report = verify_nash(entry.quantum, ((np.pi,), (np.pi,)), family, epsilon)
+        return SolutionCheck(
             "one-parameter equilibrium at mutual defection",
-            "",
-            (-b, -b),
-            report.payoffs,
-            extra={"certified": report.certified, "gain": report.max_unilateral_gain},
+            bool(np.all(np.abs(np.add(report.payoffs, b)) <= 1e-9)),
+            {
+                "expected": (-b, -b),
+                "actual": report.payoffs,
+                "certified": report.certified,
+                "gain": report.max_unilateral_gain,
+            },
         )
 
-    def check_two_param(entry, config):
+    def check_two_param(entry, epsilon):
         family = StrategyFamily.two_param()
         report = verify_nash(
             entry.quantum,
             ((0.0, np.pi / 2), (0.0, np.pi / 2)),
             family,
-            config,
+            epsilon,
         )
         point, value = best_response(entry.quantum, 0, {1: UnitaryOperator(DEFECT)}, family)
         br_ok = np.allclose(point, (0.0, np.pi / 2), atol=1e-9) and abs(value) <= 1e-9
@@ -326,30 +340,23 @@ def _prisoners_dilemma(params) -> CatalogEntry:
             },
         )
 
-    def check_three_param(entry, config):
-        family = StrategyFamily.three_param()
-        rng = np.random.default_rng(config.seed)
-        ok = True
-        gains = []
-        for _ in range(3):
-            profile = tuple(
-                (
-                    float(rng.uniform(0, np.pi)),
-                    float(rng.uniform(0, 2 * np.pi)),
-                    float(rng.uniform(0, 2 * np.pi)),
-                )
-                for _ in range(2)
-            )
-            report = verify_nash(entry.quantum, profile, family, config)
-            gains.append(report.max_unilateral_gain)
-            units = [param_unitary(family, p) for p in profile]
-            witness = forcing_response(entry.quantum, 1, units[0])
-            payoff_b = expected_payoffs_q(entry.quantum, [units[0], UnitaryOperator(witness)])[1]
-            ok = ok and report.refuted and abs(payoff_b) <= 1e-9
+    def check_three_param(entry, epsilon):
+        # least_gain = δ/2 (module docstring), given the forcing premise
+        payoffs = np.reshape(entry.classical.payoffs, (2, -1))
+        top = payoffs.max(axis=1)
+        least_gain = float((top[:, None] - payoffs).sum(axis=0).min()) / 2
+        worst = 0.0
+        for opp in (_SU2_POINTS @ _SU2_BASIS.T).reshape(-1, 2, 2):
+            for i in range(2):
+                play = [opp, opp]
+                play[i] = forcing_response(entry.quantum, i, opp)
+                worst = max(worst, float(top[i] - expected_payoffs_q(entry.quantum, play)[i]))
+        # the shortfall is rounding in sums of payoffs as large as max |π|
+        ok = least_gain > 10 * epsilon and worst <= 1e-9 * np.abs(payoffs).max()
         return SolutionCheck(
-            "full unitary family admits no equilibrium",
+            "full unitary family admits no pure equilibrium",
             bool(ok),
-            {"gains": gains},
+            {"least_gain": least_gain, "forcing_shortfall": worst},
         )
 
     solutions = (
@@ -378,7 +385,7 @@ def _prisoners_dilemma(params) -> CatalogEntry:
             check_two_param,
         ),
         DocumentedSolution(
-            "quantum, three-parameter family: no equilibrium",
+            "quantum, three-parameter family: no pure equilibrium",
             "quantum_no_nash",
             None,
             "Against any fixed full-unitary strategy the opponent has a "
@@ -427,7 +434,7 @@ def _battle_of_sexes(params, basis_choice: str) -> CatalogEntry:
     q_o = (b - g) / denom
     mixed_value = (a * b - g * g) / denom
 
-    def check_pure(entry, config):
+    def check_pure(entry, epsilon):
         nash = pure_nash(entry.classical)
         ok = nash == [(0, 0), (1, 1)]
         payoffs = [tuple(entry.classical.payoff_vector(p)) for p in nash]
@@ -437,7 +444,7 @@ def _battle_of_sexes(params, basis_choice: str) -> CatalogEntry:
             {"pure_nash": nash, "payoffs": payoffs},
         )
 
-    def check_mixed(entry, config):
+    def check_mixed(entry, epsilon):
         profile = MixedProfile((np.array([p_o, 1 - p_o]), np.array([q_o, 1 - q_o])))
         payoffs = expected_payoffs(entry.classical, profile)
         gain = max_pure_deviation_gain(entry.classical, profile)
@@ -462,7 +469,7 @@ def _battle_of_sexes(params, basis_choice: str) -> CatalogEntry:
             },
         )
 
-    def check_quantum_pure(entry, config):
+    def check_quantum_pure(entry, epsilon):
         ok = True
         observed = {}
         expected = (
@@ -474,7 +481,7 @@ def _battle_of_sexes(params, basis_choice: str) -> CatalogEntry:
             op = family.operator(label)
             mixtures = [OperatorMixture.pure(op), OperatorMixture.pure(op)]
             report = verify_nash_mixed_finite(
-                entry.quantum, mixtures, (family, family), config
+                entry.quantum, mixtures, (family, family), epsilon
             )
             observed[label] = report.payoffs
             ok = ok and report.certified and np.allclose(report.payoffs, expected, atol=1e-9)
@@ -484,12 +491,12 @@ def _battle_of_sexes(params, basis_choice: str) -> CatalogEntry:
             {"payoffs": observed, "expected": expected},
         )
 
-    def check_quantum_mixed(entry, config):
+    def check_quantum_mixed(entry, epsilon):
         mixtures = [
             OperatorMixture.over_family(family, [0.5, 0.5]),
             OperatorMixture.over_family(family, [0.5, 0.5]),
         ]
-        report = verify_nash_mixed_finite(entry.quantum, mixtures, (family, family), config)
+        report = verify_nash_mixed_finite(entry.quantum, mixtures, (family, family), epsilon)
         expected = (
             ((a + b + 2 * g) / 4.0,) * 2
             if basis_choice == "computational"
@@ -502,7 +509,7 @@ def _battle_of_sexes(params, basis_choice: str) -> CatalogEntry:
             {"payoffs": report.payoffs, "expected": expected},
         )
 
-    def check_pareto(entry, config):
+    def check_pareto(entry, epsilon):
         if basis_choice != "computational":
             return SolutionCheck(
                 "pure quantum equilibria are Pareto-optimal",
@@ -598,7 +605,6 @@ def load(
     *,
     basis: str = "computational",
     verify: bool = True,
-    config: SearchConfig | None = None,
 ) -> CatalogEntry:
     """Construct a catalog entry and re-verify its documented solutions.
 
@@ -615,8 +621,8 @@ def load(
             name,
             parameters,
             {"alpha": 5.0, "beta": 3.0, "gamma": 1.0},
-            lambda p: 0 <= p["gamma"] < p["beta"] < p["alpha"],
-            "0 <= gamma < beta < alpha",
+            lambda p: 0 < p["gamma"] < p["beta"] < p["alpha"],
+            "0 < gamma < beta < alpha",
         )
         entry = _prisoners_dilemma(params)
     elif name == "battle_of_sexes":
@@ -635,7 +641,7 @@ def load(
             f"unknown catalog entry {name!r}; available: {', '.join(CATALOG_NAMES)}"
         )
     if verify:
-        checks = entry.verify(config)
+        checks = entry.verify()
         failed = [c for c in checks if not c.passed]
         if failed:
             raise CatalogVerificationError(

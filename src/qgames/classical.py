@@ -12,7 +12,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import ShapeError, UnsupportedError, ValidationError
+from .errors import ParameterError, ShapeError, UnsupportedError, ValidationError
 from .quantum import TOL
 
 #: A pure play: one strategy index per player.
@@ -241,6 +241,8 @@ def mixed_nash_two_player(game: ClassicalGame, tol: float = TOL) -> list[MixedPr
     degenerate games (continua of equilibria) contribute one representative
     per support pair. Strategy sets larger than four are not supported.
     """
+    if not 0 < tol < np.inf:
+        raise ParameterError(f"tol must be positive and finite, got {tol}")
     if game.players != 2:
         raise UnsupportedError("mixed equilibrium search supports exactly 2 players")
     m, n = game.shape

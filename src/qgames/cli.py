@@ -37,7 +37,6 @@ from .classical import (
     pure_nash,
 )
 from .equilibrium import (
-    SearchConfig,
     best_response,
     best_response_mixed_finite,
     pareto_report,
@@ -458,17 +457,16 @@ def _cmd_verify_nash(args) -> tuple[Report, int]:
     qg = gf.quantum_game()
     game = qg.base
     family = _family_from(args, gf)
-    config = SearchConfig(epsilon=args.epsilon)
     if family.kind == FINITE_SET:
         mixtures = _parse_mixtures(args.profile, game.players, family, "--profile")
-        rep = verify_nash_mixed_finite(qg, mixtures, (family,) * game.players, config)
+        rep = verify_nash_mixed_finite(qg, mixtures, (family,) * game.players, args.epsilon)
         profile_echo = [
             {label: float(p) for label, p in zip(family.labels, m.probabilities)}
             for m in mixtures
         ]
     else:
         points = _parse_param_profile(args.profile, game.players, family.arity)
-        rep = verify_nash(qg, points, family, config)
+        rep = verify_nash(qg, points, family, args.epsilon)
         profile_echo = [list(p) for p in points]
     results = {
         "profile": profile_echo,
@@ -545,7 +543,7 @@ def _cmd_demo(args) -> tuple[Report, int]:
         basis=args.basis,
         verify=False,
     )
-    checks = entry.verify(SearchConfig(epsilon=args.epsilon, seed=args.seed))
+    checks = entry.verify(args.epsilon)
     all_passed = all(c.passed for c in checks)
     results = {
         "entry": entry.name,
@@ -562,7 +560,7 @@ def _cmd_demo(args) -> tuple[Report, int]:
     }
     notes = [sol.note for sol in entry.documented_solutions if sol.note]
     notes.extend(entry.notes)
-    diagnostics = {"epsilon": args.epsilon, "seed": args.seed}
+    diagnostics = {"epsilon": args.epsilon}
     report = Report("demo", {"name": args.name, "basis": args.basis}, results, diagnostics, notes)
     return report, 0 if all_passed else 1
 
@@ -646,7 +644,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("demo", help="re-run a catalog entry's documented solutions")
     common(p, game=False)
     p.add_argument("--epsilon", type=float, default=1e-6, help="certification threshold")
-    p.add_argument("--seed", type=int, default=0, help="seed of the sampled three-parameter checks")
     p.add_argument("name", choices=_catalog.CATALOG_NAMES)
     p.add_argument("--params", help="entry parameters, e.g. 'alpha=5,beta=3,gamma=1'")
     p.add_argument("--basis", choices=("computational", "bell"), default="computational")

@@ -71,16 +71,10 @@ _FACE_TOL = 1e-12
 _TIE_MARGIN = 1e-13
 
 
-@dataclass(frozen=True)
-class SearchConfig:
-    """Certification threshold ``epsilon`` and the ``seed`` of sampled checks."""
-
-    epsilon: float = 1e-6
-    seed: int = 0
-
-    def __post_init__(self):
-        if not 0 < self.epsilon < np.inf:
-            raise ParameterError(f"epsilon must be positive and finite, got {self.epsilon}")
+def _require_epsilon(epsilon: float) -> None:
+    """Refuse a certification threshold ε that is not positive and finite."""
+    if not 0 < epsilon < np.inf:
+        raise ParameterError(f"epsilon must be positive and finite, got {epsilon}")
 
 
 @dataclass(frozen=True)
@@ -219,10 +213,11 @@ def _finite_response(form: _LocalPayoff, operator_set: StrategyFamily) -> tuple[
 
 
 def _certify(qg: QuantumGame, mixtures: list[OperatorMixture], respond: Callable[[int, _LocalPayoff], tuple],
-             profile_echo: tuple, config: SearchConfig, reference: Sequence) -> EquilibriumReport:
+             profile_echo: tuple, epsilon: float, reference: Sequence) -> EquilibriumReport:
     """ε-test of a profile of mixtures: ``respond(i, form)`` returns player
     i's best response and its payoff, given i's form after the others'
     mixtures. ``profile_echo`` is the profile as the report shows it."""
+    _require_epsilon(epsilon)
     payoffs = expected_payoffs_mixed(qg, mixtures)
     n = qg.base.players
     gains, responses = [], []
@@ -239,9 +234,9 @@ def _certify(qg: QuantumGame, mixtures: list[OperatorMixture], respond: Callable
     return EquilibriumReport(
         profile=profile_echo,
         payoffs=tuple(float(v) for v in payoffs),
-        certified=max_gain <= config.epsilon,
+        certified=max_gain <= epsilon,
         max_unilateral_gain=max_gain,
-        epsilon=config.epsilon,
+        epsilon=epsilon,
         gains=tuple(gains),
         best_responses=tuple(responses),
         pareto_flags=flags,
@@ -276,20 +271,20 @@ def verify_nash(
     qg: QuantumGame,
     profile: Sequence[ParamPoint],
     family: StrategyFamily,
-    config: SearchConfig = SearchConfig(),
+    epsilon: float = 1e-6,
     reference: Sequence[tuple[str, Sequence[float]]] = (),
 ) -> EquilibriumReport:
     """ε-Nash check of a parameterized profile.
 
     Takes every player's exact best response with the rest of the profile
     held fixed; certifies when the largest unilateral gain is at most
-    ``config.epsilon``. ``reference`` entries (label, payoff vector) are
+    ``epsilon``. ``reference`` entries (label, payoff vector) are
     Pareto-compared against the profile payoffs.
     """
     mixtures = [OperatorMixture.pure(param_unitary(family, point)) for point in profile]
     return _certify(
         qg, mixtures, lambda i, form: _su2_response(form, family),
-        tuple(tuple(p) for p in profile), config, reference,
+        tuple(tuple(p) for p in profile), epsilon, reference,
     )
 
 
@@ -316,7 +311,7 @@ def verify_nash_mixed_finite(
     qg: QuantumGame,
     mixtures: Sequence[OperatorMixture],
     operator_sets: Sequence[StrategyFamily],
-    config: SearchConfig = SearchConfig(),
+    epsilon: float = 1e-6,
     reference: Sequence[tuple[str, Sequence[float]]] = (),
 ) -> EquilibriumReport:
     """ε-Nash check of a mixed profile over finite operator sets.
@@ -327,7 +322,7 @@ def verify_nash_mixed_finite(
     mixtures = list(mixtures)
     return _certify(
         qg, mixtures, lambda i, form: _finite_response(form, operator_sets[i]),
-        tuple(tuple(m.probabilities) for m in mixtures), config, reference,
+        tuple(tuple(m.probabilities) for m in mixtures), epsilon, reference,
     )
 
 

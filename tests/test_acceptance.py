@@ -21,7 +21,6 @@ from qgames.classical import (
     pure_nash,
 )
 from qgames.equilibrium import (
-    SearchConfig,
     best_response,
     forcing_response,
     pareto_report,
@@ -123,9 +122,8 @@ def test_03_one_parameter_reduction(dilemma):
 
 def test_04_two_parameter_equilibrium(dilemma):
     qg = dilemma.quantum
-    config = SearchConfig(epsilon=1e-6)
     phase = (0.0, np.pi / 2)
-    report = verify_nash(qg, (phase, phase), TWO, config)
+    report = verify_nash(qg, (phase, phase), TWO, epsilon=1e-6)
     assert report.certified
     assert np.all(np.abs(np.asarray(report.payoffs) - (-1.0)) <= 1e-9)
     point, value = best_response(qg, 0, {1: UnitaryOperator(DEFECT)}, TWO)
@@ -143,7 +141,6 @@ def test_05_three_parameter_no_equilibrium(dilemma):
     so the exact construction is used here.
     """
     qg = dilemma.quantum
-    config = SearchConfig()
     rng = np.random.default_rng(501)
     for _ in range(20):
         profile = tuple(
@@ -155,7 +152,7 @@ def test_05_three_parameter_no_equilibrium(dilemma):
             for _ in range(2)
         )
         units = [param_unitary(THREE, p) for p in profile]
-        report = verify_nash(qg, profile, THREE, config)
+        report = verify_nash(qg, profile, THREE)
         assert report.refuted
         for player in range(2):
             gap = 0.0 - report.payoffs[player]  # each player's maximum is 0
@@ -237,15 +234,14 @@ def test_08_coordination_game_reproduction(coordination):
 
     qg = coordination.quantum
     family = coordination.strategy_family
-    config = SearchConfig()
     for label in ("I", "X"):
         op = family.operator(label)
         mixtures = [OperatorMixture.pure(op), OperatorMixture.pure(op)]
-        report = verify_nash_mixed_finite(qg, mixtures, (family, family), config)
+        report = verify_nash_mixed_finite(qg, mixtures, (family, family))
         assert report.certified
         assert np.all(np.abs(np.asarray(report.payoffs) - 2.5) <= 1e-9)  # (a+b)/2
     uniform = OperatorMixture.over_family(family, [0.5, 0.5])
-    report = verify_nash_mixed_finite(qg, [uniform, uniform], (family, family), config)
+    report = verify_nash_mixed_finite(qg, [uniform, uniform], (family, family))
     assert report.certified
     assert np.all(np.abs(np.asarray(report.payoffs) - 1.75) <= 1e-9)  # (a+b+2g)/4
 

@@ -1,11 +1,16 @@
 """Catalog entries: construction, constraints, load-time re-verification."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qgames.catalog import ETA_IN, eta_basis, load
+from qgames.catalog import ETA_IN, CatalogVerificationError, eta_basis, load
+from qgames.equilibrium import verify_nash
 from qgames.errors import ParameterError
-from qgames.equilibrium import SearchConfig
 from qgames.quantumize import QuantumGame, SequentialQuantumGame
+from qgames.strategies import StrategyFamily
+
+NO_PURE_EQUILIBRIUM = "full unitary family admits no pure equilibrium"
 
 
 class TestLoad:
@@ -53,6 +58,10 @@ class TestLoad:
             load("prisoners_dilemma", {"alpha": 3.0, "beta": 3.0, "gamma": 1.0})
         with pytest.raises(ParameterError):
             load("prisoners_dilemma", {"gamma": 4.0})
+        # at γ = 0 mutual cooperation ties A's top payoff: defection no
+        # longer dominates, and (I, I) is a three-parameter equilibrium
+        with pytest.raises(ParameterError, match="0 < gamma < beta < alpha"):
+            load("prisoners_dilemma", {"gamma": 0.0}, verify=False)
 
     def test_dilemma_unknown_parameter(self):
         with pytest.raises(ParameterError):
@@ -106,15 +115,60 @@ class TestLoadTimeVerification:
         entry = load(
             "battle_of_sexes",
             {"alpha": 7.0, "beta": 4.0, "gamma": 2.0},
-            config=SearchConfig(),
         )
         sol = {s.label: s for s in entry.documented_solutions}
         value = sol["classical: interior mixed equilibrium"].payoffs[0]
         assert value == pytest.approx((7 * 4 - 4) / (7 + 4 - 4))
 
     def test_dilemma_nondefault_parameters(self):
-        load(
-            "prisoners_dilemma",
-            {"alpha": 6.0, "beta": 4.0, "gamma": 2.0},
-            config=SearchConfig(),
-        )
+        load("prisoners_dilemma", {"alpha": 6.0, "beta": 4.0, "gamma": 2.0})
+
+    def test_verify_refuses_a_threshold_outside_zero_to_infinity(self):
+        entry = load("penny_flip", verify=False)
+        for epsilon in (np.nan, 0.0, -1.0, np.inf):
+            with pytest.raises(ParameterError, match="epsilon must be positive and finite"):
+                entry.verify(epsilon)
+
+
+def _three_param_check(entry, epsilon=1e-6):
+    (check,) = [c for c in entry.verify(epsilon) if c.label == NO_PURE_EQUILIBRIUM]
+    return check
+
+
+class TestNoPureEquilibrium:
+    def test_default_parameters(self):
+        check = _three_param_check(load("prisoners_dilemma", verify=False))
+        assert check.passed
+        assert check.details["least_gain"] == 1.0  # γ
+        assert check.details["forcing_shortfall"] <= 1e-12
+
+    def test_small_gamma_fails_load(self):
+        # every gain may be as small as γ = 1e-6, below the 10ε refutation line
+        with pytest.raises(CatalogVerificationError, match=NO_PURE_EQUILIBRIUM):
+            load("prisoners_dilemma", {"gamma": 1e-6})
+
+    def test_threshold_is_read(self):
+        entry = load("prisoners_dilemma", verify=False)
+        assert not _three_param_check(entry, epsilon=0.1).passed  # δ/2 = 1 = 10ε
+        assert _three_param_check(entry, epsilon=0.099).passed
+
+    @given(seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    def test_least_gain_bounds_every_profile(self, seed):
+        rng = np.random.default_rng(seed)
+        g = float(rng.uniform(0.01, 3.0))
+        b = g + float(rng.uniform(0.01, 3.0))
+        a = b + float(rng.uniform(0.01, 3.0))
+        entry = load("prisoners_dilemma", {"alpha": a, "beta": b, "gamma": g}, verify=False)
+        least_gain = _three_param_check(entry).details["least_gain"]
+        assert least_gain == pytest.approx(min(2 * g, a, 2 * b) / 2, abs=1e-12)
+        family = StrategyFamily.three_param()
+        for _ in range(4):
+            profile = [tuple(float(rng.uniform(r.lo, r.hi)) for r in family.ranges) for _ in range(2)]
+            report = verify_nash(entry.quantum, profile, family)
+            assert report.max_unilateral_gain >= least_gain - 1e-12
+        # at (I, I) each player gains γ; the bound is tight there when 2γ ≤ α
+        report = verify_nash(entry.quantum, [(0.0, 0.0, 0.0)] * 2, family)
+        np.testing.assert_allclose(report.gains, (g, g), atol=1e-12)
+        if 2 * g <= a:
+            assert report.max_unilateral_gain == pytest.approx(least_gain, abs=1e-12)

@@ -295,6 +295,26 @@ class TestDemo:
             run(["demo", "prisoners_dilemma", "--grid", "32"])
         assert err.value.code == 2
 
+    def test_demo_has_no_seed(self):
+        # no catalog check samples, so there is no seed to set
+        with pytest.raises(SystemExit) as err:
+            run(["demo", "penny_flip", "--seed", "3"])
+        assert err.value.code == 2
+
+    @pytest.mark.parametrize("params", ["alpha=1e9,beta=3,gamma=1", "alpha=1e12"])
+    def test_dilemma_at_catalog_scale(self, params):
+        report, code = run(["demo", "prisoners_dilemma", "--params", params])
+        assert code == 0
+        assert report.results["all_passed"] is True
+
+    def test_dilemma_near_gamma_zero_fails_no_pure_equilibrium(self):
+        # the largest gain is only guaranteed to be γ = 1e-6, below 10ε
+        report, code = run(["demo", "prisoners_dilemma", "--params", "gamma=1e-6"])
+        assert code == 1
+        failed = [c for c in report.results["checks"] if not c["passed"]]
+        assert [c["label"] for c in failed] == ["full unitary family admits no pure equilibrium"]
+        assert failed[0]["details"]["least_gain"] == pytest.approx(1e-6, rel=1e-12)
+
     def test_demo_notes_mention_documented_discrepancies(self):
         report, _ = run(["demo", "battle_of_sexes"])
         text = " ".join(report.notes)
@@ -357,9 +377,9 @@ class TestDeterminismAndErrors:
         )
         # a report lists only the settings its run read
         assert report.diagnostics == {"epsilon": 1e-5}
-        report, _ = run(["demo", "penny_flip", "--seed", "3"])
-        assert report.diagnostics == {"epsilon": 1e-6, "seed": 3}
-        assert "config: epsilon=1e-06, seed=3" in report.to_text().splitlines()
+        report, _ = run(["demo", "penny_flip"])
+        assert report.diagnostics == {"epsilon": 1e-6}
+        assert "config: epsilon=1e-06" in report.to_text().splitlines()
         report, _ = run(["quantumize", "--game", game_files["prisoners_dilemma"]])
         assert report.diagnostics == {}
         assert "config:" not in report.to_text()
@@ -435,7 +455,9 @@ def _qubit_game(path, n):
 
 class TestNumericTokens:
     """Every numeric CLI token must be a finite number; anything else is an
-    input error that names its flag and the token."""
+    input error that names its flag and the token. A threshold outside
+    (0, ∞), or a parameter outside its entry's domain, is an input error
+    that names the setting."""
 
     @pytest.mark.parametrize(
         "argv, message",
@@ -447,8 +469,25 @@ class TestNumericTokens:
             (["export", "prisoners_dilemma", "--params", "alpha=inf"], "--params: 'inf' is not finite"),
             (["pareto", "--game", "BOS", "--entry", "a:x,1"], "--entry: 'x' is not a number"),
             (["pareto", "--game", "BOS", "--entry", "a:nan,1", "--entry", "b:1,1"], "--entry: 'nan' is not finite"),
+            *(
+                (["analyze", "--game", "BOS", "--tol", t], f"tol must be positive and finite, got {float(t)}")
+                for t in ("nan", "-1", "0", "inf")
+            ),
+            *(
+                (["verify-nash", "--game", "BOS", "--profile", "I;I", "--epsilon", e],
+                 f"epsilon must be positive and finite, got {float(e)}")
+                for e in ("nan", "0")
+            ),
+            (["demo", "penny_flip", "--epsilon", "nan"], "epsilon must be positive and finite, got nan"),
+            *(
+                ([command, "prisoners_dilemma", "--params", "gamma=0"],
+                 "prisoners_dilemma requires 0 < gamma < beta < alpha, got {'alpha': 5.0, 'beta': 3.0, 'gamma': 0.0}")
+                for command in ("demo", "export")
+            ),
         ],
-        ids=["profile-word", "profile-nan", "others-word", "demo-params", "export-params", "entry-word", "entry-nan"],
+        ids=["profile-word", "profile-nan", "others-word", "demo-params", "export-params", "entry-word", "entry-nan",
+             "tol-nan", "tol-negative", "tol-zero", "tol-inf", "epsilon-nan", "epsilon-zero", "demo-epsilon-nan",
+             "demo-gamma-zero", "export-gamma-zero"],
     )
     def test_exit_two_naming_the_flag(self, game_files, capsys, argv, message):
         argv = [game_files["battle_of_sexes"] if a == "BOS" else a for a in argv]

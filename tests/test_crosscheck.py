@@ -8,18 +8,26 @@ the classical mixed extension with p_i = (cos²(θ_i/2), sin²(θ_i/2)). A
 family reaches every such p_i, so a best response is worth the best pure
 deviation. A menu of cyclic shifts |0⟩ → |k⟩ plays strategy k outright, so
 a mixture over it is the same mixture of strategies.
+
+Two maps leave the verdicts alone on any start and basis. A positive affine
+payoff map a·π + b scales every gain by a. A local frame change, the start
+WρW† with W = ⊗W_i played against U_i W_i†, leaves every final state as it
+was; right multiplication by W_i† maps SU(2) onto itself, so over
+three_param every best response is worth the same too.
 """
+from functools import reduce
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_density, random_game
+from helpers import random_density, random_game, random_projective_basis
 from qgames.classical import ClassicalGame, MixedProfile, expected_payoffs, max_pure_deviation_gain
 from qgames.equilibrium import verify_nash, verify_nash_mixed_finite
-from qgames.quantum import DensityMatrix
+from qgames.quantum import DensityMatrix, dagger
 from qgames.quantumize import OperatorMixture, build_ewl
-from qgames.strategies import StrategyFamily
+from qgames.strategies import StrategyFamily, unitary_matrix
 
 TOL = 1e-9
 SEEDS = st.integers(0, 2**32 - 1)
@@ -125,3 +133,61 @@ class TestSwappingPlayers:
         order[i], order[j] = order[j], order[i]
         np.testing.assert_allclose(report2.payoffs, np.array(report.payoffs)[order], atol=TOL)
         np.testing.assert_allclose(report2.gains, np.array(report.gains)[order], atol=TOL)
+
+
+def _random_ewl(rng, players):
+    """A random qubit game on a random start and a random basis."""
+    game = random_game(rng, players, max_strategies=2)
+    return game, random_density(rng, 2**players), random_projective_basis(rng, list(game.plays()))
+
+
+class TestAffinePayoffMap:
+    @given(seed=SEEDS)
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    def test_scales_gains_and_keeps_the_verdict(self, seed):
+        rng = np.random.default_rng(seed)
+        players = int(rng.integers(2, 5))
+        family = FAMILIES[int(rng.integers(0, 3))]
+        game, start, basis = _random_ewl(rng, players)
+        a, b = float(rng.uniform(0.1, 10.0)), rng.uniform(-5.0, 5.0, size=players)
+        mapped = ClassicalGame(game.strategy_sets, tuple(a * p + c for p, c in zip(game.payoffs, b)))
+        qg, qg2 = build_ewl(game, start, basis), build_ewl(mapped, start, basis)
+        profile = [_random_point(rng, family) for _ in range(players)]
+        gain = verify_nash(qg, profile, family).max_unilateral_gain
+        # a threshold well clear of the gain, on either side of it
+        epsilon = max(gain, 1e-6) * float(rng.choice([0.05, 0.5, 2.0]))
+        report = verify_nash(qg, profile, family, epsilon)
+        report2 = verify_nash(qg2, profile, family, a * epsilon)
+        np.testing.assert_allclose(report2.payoffs, a * np.array(report.payoffs) + b, atol=TOL)
+        np.testing.assert_allclose(report2.gains, a * np.array(report.gains), atol=TOL)
+        assert (report2.certified, report2.refuted) == (report.certified, report.refuted)
+
+
+def _three_param_point(u: np.ndarray) -> tuple[float, float, float]:
+    """(θ, φ, λ) of u = [[e^{iφ}cos(θ/2), e^{−iλ}sin(θ/2)], [·, ·]] in SU(2)."""
+    theta = 2.0 * np.arctan2(abs(u[0, 1]), abs(u[0, 0]))
+    phi, lam = np.angle(u[0, 0]) % (2 * np.pi), -np.angle(u[0, 1]) % (2 * np.pi)
+    return float(theta), float(phi), float(lam)
+
+
+class TestLocalFrameChange:
+    @given(seed=SEEDS)
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    def test_keeps_payoffs_and_three_param_gains(self, seed):
+        rng = np.random.default_rng(seed)
+        players = int(rng.integers(2, 4))
+        three = FAMILIES[2]
+        game, start, basis = _random_ewl(rng, players)
+        profile = [_random_point(rng, three) for _ in range(players)]
+        frames = [unitary_matrix(three, _random_point(rng, three)) for _ in range(players)]
+        w = reduce(np.kron, frames)
+        moved = DensityMatrix(w @ start.matrix @ dagger(w))
+        profile2 = []
+        for point, frame in zip(profile, frames):
+            u = unitary_matrix(three, point) @ dagger(frame)
+            profile2.append(_three_param_point(u))
+            np.testing.assert_allclose(unitary_matrix(three, profile2[-1]), u, atol=1e-12)
+        report = verify_nash(build_ewl(game, start, basis), profile, three)
+        report2 = verify_nash(build_ewl(game, moved, basis), profile2, three)
+        np.testing.assert_allclose(report2.payoffs, report.payoffs, atol=TOL)
+        np.testing.assert_allclose(report2.gains, report.gains, atol=TOL)

@@ -6,7 +6,6 @@ from helpers import _vertex_payoffs, random_quantum_game, random_unitary
 from qgames.catalog import load
 from qgames.classical import ClassicalGame
 from qgames.equilibrium import (
-    SearchConfig,
     _LocalPayoff,
     best_response,
     best_response_mixed_finite,
@@ -38,8 +37,6 @@ TWO = StrategyFamily.two_param()
 THREE = StrategyFamily.three_param()
 ONE = StrategyFamily.one_param()
 PHASE_POINT = (0.0, np.pi / 2)
-
-FAST = SearchConfig()
 
 
 @pytest.fixture(scope="module")
@@ -187,8 +184,7 @@ class TestVerifyNash:
 
     def test_certification_survives_grid_refinement(self, dilemma_q):
         # the exact response leaves no gain for a finer search to find
-        config = SearchConfig(epsilon=1e-6)
-        report = verify_nash(dilemma_q, (PHASE_POINT, PHASE_POINT), TWO, config)
+        report = verify_nash(dilemma_q, (PHASE_POINT, PHASE_POINT), TWO, epsilon=1e-6)
         assert report.certified
         assert report.max_unilateral_gain <= 1e-12
 
@@ -206,7 +202,7 @@ class TestVerifyNash:
     def test_three_param_profiles_always_refuted(self, dilemma_q, seed):
         rng = np.random.default_rng(1000 + seed)
         profile = (_random_three_param_point(rng), _random_three_param_point(rng))
-        report = verify_nash(dilemma_q, profile, THREE, FAST)
+        report = verify_nash(dilemma_q, profile, THREE)
         assert report.refuted
 
     def test_pareto_flags(self, dilemma_q):
