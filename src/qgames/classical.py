@@ -7,8 +7,8 @@ ordering. Payoffs are stored as one real tensor per player with shape
 from __future__ import annotations
 
 import itertools
-from dataclasses import InitVar, dataclass
-from typing import Iterable, Sequence
+from dataclasses import dataclass
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -97,17 +97,16 @@ class MixedProfile:
     """One probability distribution over strategies per player."""
 
     distributions: tuple[np.ndarray, ...]
-    tol: InitVar[float] = TOL
 
-    def __post_init__(self, tol):
+    def __post_init__(self):
         dists = []
         for i, p in enumerate(self.distributions):
             v = np.asarray(p, dtype=float).reshape(-1)
             if not np.all(np.isfinite(v)):
                 raise ValidationError(f"distribution for player {i} has non-finite entries")
-            if np.any(v < -tol):
+            if np.any(v < -TOL):
                 raise ValidationError(f"distribution for player {i} has negative entries")
-            if abs(v.sum() - 1.0) > tol:
+            if abs(v.sum() - 1.0) > TOL:
                 raise ValidationError(f"distribution for player {i} sums to {v.sum()}, expected 1")
             v = np.clip(v, 0.0, None)
             v.setflags(write=False)
@@ -145,7 +144,8 @@ def expected_payoffs(game: ClassicalGame, profile: MixedProfile) -> np.ndarray:
 def dominant_strategies(game: ClassicalGame, strict: bool = False) -> tuple[int | None, ...]:
     """Per-player index of a (strictly) dominant strategy, or None.
 
-    Ties in the non-strict mode resolve to the lowest dominant index.
+    Payoffs within ``TOL`` count as equal. Ties in the non-strict mode
+    resolve to the lowest dominant index.
     """
     result = []
     for i, tensor in enumerate(game.payoffs):
@@ -154,9 +154,9 @@ def dominant_strategies(game: ClassicalGame, strict: bool = False) -> tuple[int 
         for d in range(own.shape[0]):
             if strict:
                 others = np.delete(own, d, axis=0)
-                ok = bool(np.all(own[d][None, ...] > others)) if others.size else True
+                ok = bool(np.all(own[d][None, ...] > others + TOL)) if others.size else True
             else:
-                ok = bool(np.all(own[d][None, ...] >= own))
+                ok = bool(np.all(own[d][None, ...] >= own - TOL))
             if ok:
                 found = d
                 break
@@ -167,17 +167,16 @@ def dominant_strategies(game: ClassicalGame, strict: bool = False) -> tuple[int 
 def pure_nash(game: ClassicalGame, strict: bool = False) -> list[Play]:
     """All pure-strategy Nash equilibria, by exhaustive enumeration.
 
-    A play qualifies when no unilateral deviation strictly improves the
-    deviating player (strict mode: every deviation strictly hurts).
+    A play qualifies when no unilateral deviation improves the deviating
+    player by more than ``TOL`` (strict mode: every deviation hurts by more
+    than ``TOL``).
     """
     mask = np.ones(game.shape, dtype=bool)
     for i, tensor in enumerate(game.payoffs):
-        best = tensor.max(axis=i, keepdims=True)
+        near_best = tensor >= tensor.max(axis=i, keepdims=True) - TOL
+        mask &= near_best
         if strict:
-            count = (tensor == best).sum(axis=i, keepdims=True)
-            mask &= (tensor == best) & (count == 1)
-        else:
-            mask &= tensor == best
+            mask &= near_best.sum(axis=i, keepdims=True) == 1
     return [tuple(idx) for idx in np.argwhere(mask)]
 
 
@@ -289,37 +288,42 @@ def max_pure_deviation_gain(game: ClassicalGame, profile: MixedProfile) -> float
     return worst
 
 
-def pareto_relation(payoffs_a, payoffs_b, tol: float = TOL) -> str:
+def _relation_rows(vectors: np.ndarray) -> Iterator[np.ndarray]:
+    """Row ``i`` holds :func:`pareto_relation` of ``vectors[i]`` against
+    every row of ``vectors``; rows come one at a time, so memory stays
+    linear in the number of vectors."""
+    for a in vectors:
+        a_covers = np.all(a >= vectors - TOL, axis=1)
+        b_covers = np.all(vectors >= a - TOL, axis=1)
+        yield np.where(
+            a_covers,
+            np.where(b_covers, EQUAL, A_DOMINATES),
+            np.where(b_covers, B_DOMINATES, INCOMPARABLE),
+        )
+
+
+def _undominated(relations: Iterable) -> list[int]:
+    """Indices of the relation rows in which no vector dominates the row's own."""
+    return [i for i, row in enumerate(relations) if B_DOMINATES not in row]
+
+
+def pareto_relation(payoffs_a, payoffs_b) -> str:
     """Componentwise order of two payoff vectors.
 
-    ``equal`` when all components agree within ``tol``; otherwise one side
-    dominates when it is componentwise at least the other (within ``tol``);
+    ``equal`` when all components agree within ``TOL``; otherwise one side
+    dominates when it is componentwise at least the other (within ``TOL``);
     otherwise ``incomparable``.
     """
     a = np.asarray(payoffs_a, dtype=float).reshape(-1)
     b = np.asarray(payoffs_b, dtype=float).reshape(-1)
     if a.shape != b.shape:
         raise ShapeError(f"payoff vectors differ in length: {a.size} vs {b.size}")
-    if np.all(np.abs(a - b) <= tol):
-        return EQUAL
-    if np.all(a >= b - tol):
-        return A_DOMINATES
-    if np.all(b >= a - tol):
-        return B_DOMINATES
-    return INCOMPARABLE
-
-
-def _strictly_dominated(vec: np.ndarray, by: np.ndarray) -> bool:
-    return bool(np.all(by >= vec) and np.any(by > vec))
+    return str(next(_relation_rows(np.array([a, b])))[1])
 
 
 def pareto_optimal_plays(game: ClassicalGame) -> list[Play]:
     """Plays whose payoff vector no other play improves for one player
     without hurting another."""
     plays = list(game.plays())
-    vectors = [game.payoff_vector(p) for p in plays]
-    optimal = []
-    for i, v in enumerate(vectors):
-        if not any(_strictly_dominated(v, w) for j, w in enumerate(vectors) if j != i):
-            optimal.append(plays[i])
-    return optimal
+    vectors = np.stack(game.payoffs, axis=-1).reshape(len(plays), game.players)
+    return [plays[i] for i in _undominated(_relation_rows(vectors))]

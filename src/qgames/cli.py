@@ -12,9 +12,10 @@ Subcommands:
 * ``demo``             re-run a catalog entry's documented solutions
 * ``export``           write a catalog entry as a game file
 
-Exit codes: 0 success, 1 analysis refutation (a verify/demo check failed),
-2 input error. Reports are deterministic: fixed key order and 12
-significant digits everywhere.
+Exit codes: 0 success, 1 when the analysis does not confirm its claim (a
+``verify-nash`` profile that is not certified, whether refuted or
+undecided, or a failed ``demo`` check), 2 input error. Reports are
+deterministic: fixed key order and 12 significant digits everywhere.
 """
 from __future__ import annotations
 

@@ -29,13 +29,13 @@ a gain above 10ε so borderline profiles flap in neither direction.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .classical import pareto_relation
+from .classical import _relation_rows, _undominated
 from .errors import ParameterError, ShapeError, UnsupportedError
 from .quantum import TOL, DensityMatrix, UnitaryOperator, dagger
 from .quantumize import (
@@ -88,7 +88,6 @@ class EquilibriumReport:
     epsilon: float
     gains: tuple[float, ...]
     best_responses: tuple
-    pareto_flags: dict[str, str] = field(default_factory=dict)
 
     @property
     def refuted(self) -> bool:
@@ -213,7 +212,7 @@ def _finite_response(form: _LocalPayoff, operator_set: StrategyFamily) -> tuple[
 
 
 def _certify(qg: QuantumGame, mixtures: list[OperatorMixture], respond: Callable[[int, _LocalPayoff], tuple],
-             profile_echo: tuple, epsilon: float, reference: Sequence) -> EquilibriumReport:
+             profile_echo: tuple, epsilon: float) -> EquilibriumReport:
     """ε-test of a profile of mixtures: ``respond(i, form)`` returns player
     i's best response and its payoff, given i's form after the others'
     mixtures. ``profile_echo`` is the profile as the report shows it."""
@@ -227,10 +226,6 @@ def _certify(qg: QuantumGame, mixtures: list[OperatorMixture], respond: Callable
         gains.append(float(value - payoffs[i]))
         responses.append(tuple(response))
     max_gain = max(gains)
-    flags = {
-        str(label): pareto_relation(payoffs, np.asarray(ref, dtype=float))
-        for label, ref in reference
-    }
     return EquilibriumReport(
         profile=profile_echo,
         payoffs=tuple(float(v) for v in payoffs),
@@ -239,7 +234,6 @@ def _certify(qg: QuantumGame, mixtures: list[OperatorMixture], respond: Callable
         epsilon=epsilon,
         gains=tuple(gains),
         best_responses=tuple(responses),
-        pareto_flags=flags,
     )
 
 
@@ -272,19 +266,17 @@ def verify_nash(
     profile: Sequence[ParamPoint],
     family: StrategyFamily,
     epsilon: float = 1e-6,
-    reference: Sequence[tuple[str, Sequence[float]]] = (),
 ) -> EquilibriumReport:
     """ε-Nash check of a parameterized profile.
 
     Takes every player's exact best response with the rest of the profile
     held fixed; certifies when the largest unilateral gain is at most
-    ``epsilon``. ``reference`` entries (label, payoff vector) are
-    Pareto-compared against the profile payoffs.
+    ``epsilon``.
     """
     mixtures = [OperatorMixture.pure(param_unitary(family, point)) for point in profile]
     return _certify(
         qg, mixtures, lambda i, form: _su2_response(form, family),
-        tuple(tuple(p) for p in profile), epsilon, reference,
+        tuple(tuple(p) for p in profile), epsilon,
     )
 
 
@@ -312,7 +304,6 @@ def verify_nash_mixed_finite(
     mixtures: Sequence[OperatorMixture],
     operator_sets: Sequence[StrategyFamily],
     epsilon: float = 1e-6,
-    reference: Sequence[tuple[str, Sequence[float]]] = (),
 ) -> EquilibriumReport:
     """ε-Nash check of a mixed profile over finite operator sets.
 
@@ -322,7 +313,7 @@ def verify_nash_mixed_finite(
     mixtures = list(mixtures)
     return _certify(
         qg, mixtures, lambda i, form: _finite_response(form, operator_sets[i]),
-        tuple(tuple(m.probabilities) for m in mixtures), epsilon, reference,
+        tuple(tuple(m.probabilities) for m in mixtures), epsilon,
     )
 
 
@@ -330,18 +321,18 @@ def verify_nash_mixed_finite(
 # analytic forcing response (two maximally entangled qubits)
 # ---------------------------------------------------------------------------
 
-def _pure_vector(rho: DensityMatrix, tol: float = 1e-9) -> np.ndarray:
+def _pure_vector(rho: DensityMatrix) -> np.ndarray:
     vals, vecs = np.linalg.eigh(rho.matrix)
-    if vals[-1] < 1.0 - tol:
+    if vals[-1] < 1.0 - TOL:
         raise UnsupportedError("state is not pure")
     return vecs[:, -1]
 
 
-def _entangling_factor(vector: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+def _entangling_factor(vector: np.ndarray) -> np.ndarray:
     """K with |v⟩ = (I ⊗ K)|Φ⁺⟩ for a maximally entangled 2-qubit vector."""
     psi = np.asarray(vector, dtype=complex).reshape(2, 2)
     k = np.sqrt(2.0) * psi.T
-    if float(np.abs(dagger(k) @ k - np.eye(2)).max()) > tol:
+    if float(np.abs(dagger(k) @ k - np.eye(2)).max()) > TOL:
         raise UnsupportedError("state is not maximally entangled")
     return k
 
@@ -389,16 +380,5 @@ def pareto_report(entries: Sequence[tuple[str, Sequence[float]]]) -> ParetoRepor
     vectors = [np.asarray(v, dtype=float).reshape(-1) for _, v in entries]
     if len({v.size for v in vectors}) > 1:
         raise ShapeError("payoff vectors must share one length")
-    matrix = tuple(
-        tuple(pareto_relation(a, b) for b in vectors) for a in vectors
-    )
-    optimal = []
-    for i, v in enumerate(vectors):
-        dominated = any(
-            np.all(w >= v) and np.any(w > v)
-            for j, w in enumerate(vectors)
-            if j != i
-        )
-        if not dominated:
-            optimal.append(labels[i])
-    return ParetoReport(labels, matrix, tuple(optimal))
+    matrix = tuple(tuple(row.tolist()) for row in _relation_rows(np.array(vectors)))
+    return ParetoReport(labels, matrix, tuple(labels[i] for i in _undominated(matrix)))

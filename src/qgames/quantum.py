@@ -13,7 +13,7 @@ Values can therefore be shared freely across threads.
 """
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 from typing import Hashable, NamedTuple, Sequence
 
 import numpy as np
@@ -25,11 +25,11 @@ from .errors import (
     ValidationError,
 )
 
-#: Default absolute tolerance for all invariant checks, overridable per call.
+#: Absolute tolerance of every invariant check.
 TOL = 1e-9
 
-#: Default cap on composite dimensions: tensor products and the play count
-#: of a quantumized game.
+#: Cap on composite dimensions: tensor products and the play count of a
+#: quantumized game.
 DIM_CAP = 4096
 
 
@@ -58,30 +58,30 @@ def _frozen(m: np.ndarray) -> np.ndarray:
 # operations on bare matrices
 # ---------------------------------------------------------------------------
 
-def tensor_product(a, b, *, dim_cap: int = DIM_CAP) -> np.ndarray:
+def tensor_product(a, b) -> np.ndarray:
     """Kronecker product with ``a`` as the slower-varying (most significant)
     index block.
 
     Raises :class:`DimensionLimitError` if the product dimension would exceed
-    ``dim_cap``.
+    ``DIM_CAP``.
     """
     a = as_complex_matrix(a)
     b = as_complex_matrix(b)
     rows, cols = a.shape[0] * b.shape[0], a.shape[1] * b.shape[1]
-    if max(rows, cols) > dim_cap:
+    if max(rows, cols) > DIM_CAP:
         raise DimensionLimitError(
-            f"tensor product dimension {max(rows, cols)} exceeds cap {dim_cap}"
+            f"tensor product dimension {max(rows, cols)} exceeds cap {DIM_CAP}"
         )
     return np.kron(a, b)
 
 
-def tensor_all(mats: Sequence[np.ndarray], *, dim_cap: int = DIM_CAP) -> np.ndarray:
+def tensor_all(mats: Sequence[np.ndarray]) -> np.ndarray:
     """Left-to-right Kronecker product of a sequence of matrices."""
     if not mats:
         raise ShapeError("tensor_all needs at least one factor")
     out = as_complex_matrix(mats[0])
     for m in mats[1:]:
-        out = tensor_product(out, m, dim_cap=dim_cap)
+        out = tensor_product(out, m)
     return out
 
 
@@ -99,14 +99,14 @@ def _gram_defect(m: np.ndarray) -> tuple[float, int, int]:
     return float(dev[i, j]), int(i), int(j)
 
 
-def is_unitary(m, tol: float = TOL) -> bool:
-    """True iff ``m†m`` deviates from the identity by at most ``tol`` per entry."""
-    return _gram_defect(_require_square(m))[0] <= tol
+def is_unitary(m) -> bool:
+    """True iff ``m†m`` deviates from the identity by at most ``TOL`` per entry."""
+    return _gram_defect(_require_square(m))[0] <= TOL
 
 
-def is_hermitian(m, tol: float = TOL) -> bool:
+def is_hermitian(m) -> bool:
     m = _require_square(m)
-    return float(np.abs(m - dagger(m)).max()) <= tol
+    return float(np.abs(m - dagger(m)).max()) <= TOL
 
 
 def commutator_norm(a, b) -> float:
@@ -127,16 +127,15 @@ class PureState:
     """Normalised state vector of a finite-dimensional system."""
 
     amplitudes: np.ndarray
-    tol: InitVar[float] = TOL
 
-    def __post_init__(self, tol):
+    def __post_init__(self):
         amps = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
         if amps.size == 0:
             raise ShapeError("state vector must be non-empty")
         if not np.all(np.isfinite(amps)):
             raise ValidationError("state amplitudes must be finite")
         norm = float(np.sum(np.abs(amps) ** 2))
-        if abs(norm - 1.0) > tol:
+        if abs(norm - 1.0) > TOL:
             raise ValidationError(f"state vector norm² is {norm}, expected 1")
         object.__setattr__(self, "amplitudes", _frozen(amps.reshape(-1)))
 
@@ -155,17 +154,16 @@ class DensityMatrix:
     """Hermitian, positive-semidefinite, trace-one operator."""
 
     matrix: np.ndarray
-    tol: InitVar[float] = TOL
 
-    def __post_init__(self, tol):
+    def __post_init__(self):
         m = _require_square(self.matrix, "density matrix")
-        if not is_hermitian(m, tol):
+        if not is_hermitian(m):
             raise ValidationError("density matrix must be Hermitian")
         trace = complex(np.trace(m))
-        if abs(trace - 1.0) > tol:
+        if abs(trace - 1.0) > TOL:
             raise ValidationError(f"density matrix trace is {trace}, expected 1")
         smallest = float(np.linalg.eigvalsh(m).min())
-        if smallest < -tol:
+        if smallest < -TOL:
             raise ValidationError(
                 f"density matrix has negative eigenvalue {smallest}"
             )
@@ -176,8 +174,8 @@ class DensityMatrix:
         return self.matrix.shape[0]
 
     @classmethod
-    def from_pure(cls, amplitudes, tol: float = TOL) -> "DensityMatrix":
-        return PureState(amplitudes, tol).to_density()
+    def from_pure(cls, amplitudes) -> "DensityMatrix":
+        return PureState(amplitudes).to_density()
 
 
 @dataclass(frozen=True, eq=False)
@@ -185,14 +183,13 @@ class UnitaryOperator:
     """Square matrix with ``u†u = I`` within tolerance."""
 
     matrix: np.ndarray
-    tol: InitVar[float] = TOL
 
-    def __post_init__(self, tol):
+    def __post_init__(self):
         m = _require_square(self.matrix, "unitary")
         dev = _gram_defect(m)[0]
-        if dev > tol:
+        if dev > TOL:
             raise ValidationError(
-                f"operator is not unitary: max |U†U − I| = {dev:.3g} > tol {tol:g}"
+                f"operator is not unitary: max |U†U − I| = {dev:.3g} > tol {TOL:g}"
             )
         object.__setattr__(self, "matrix", _frozen(m))
 
@@ -218,9 +215,8 @@ class MeasurementBasis:
 
     unitary: np.ndarray
     labels: tuple
-    tol: InitVar[float] = TOL
 
-    def __post_init__(self, tol):
+    def __post_init__(self):
         v = _require_square(self.unitary, "basis unitary")
         labels = tuple(self.labels)
         if len(labels) != v.shape[1]:
@@ -228,21 +224,21 @@ class MeasurementBasis:
         if len(set(labels)) != len(labels):
             raise ValidationError("outcome labels must be distinct")
         dev, i, j = _gram_defect(v)
-        if dev > tol:
+        if dev > TOL:
             raise ValidationError(
                 f"basis vectors are not orthonormal: "
-                f"|(V†V − I)[{i},{j}]| = {dev:.3g} > tol {tol:g}"
+                f"|(V†V − I)[{i},{j}]| = {dev:.3g} > tol {TOL:g}"
             )
         object.__setattr__(self, "unitary", _frozen(v))
         object.__setattr__(self, "labels", labels)
 
     @classmethod
-    def from_projectors(cls, projectors, labels, tol: float = TOL) -> "MeasurementBasis":
+    def from_projectors(cls, projectors, labels) -> "MeasurementBasis":
         """The basis of a complete set of rank-one projectors, one per label.
 
         Each vector is read off its projector's column with the largest
         diagonal entry, and must rebuild the projector, whose trace is 1,
-        within ``tol``.
+        within ``TOL``.
         """
         stack = np.asarray(projectors, dtype=complex)
         if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
@@ -260,18 +256,18 @@ class MeasurementBasis:
                 vectors[:, i] = p[:, col] / np.sqrt(weight)
             dev = float(np.abs(np.outer(vectors[:, i], vectors[:, i].conj()) - p).max())
             dev = max(dev, abs(complex(np.trace(p)) - 1.0))
-            if dev > tol:
+            if dev > TOL:
                 raise ValidationError(
                     f"projectors[{i}]: not a rank-one projector, "
-                    f"max(|v v† − Π|, |Tr Π − 1|) = {dev:.3g} > tol {tol:g}"
+                    f"max(|v v† − Π|, |Tr Π − 1|) = {dev:.3g} > tol {TOL:g}"
                 )
         dev, i, j = _gram_defect(vectors)
-        if dev > tol:
+        if dev > TOL:
             raise ValidationError(
                 f"projectors[{max(i, j)}]: not orthonormal, "
-                f"|(V†V − I)[{i},{j}]| = {dev:.3g} > tol {tol:g}"
+                f"|(V†V − I)[{i},{j}]| = {dev:.3g} > tol {TOL:g}"
             )
-        return cls(vectors, labels, tol)
+        return cls(vectors, labels)
 
     @property
     def projectors(self) -> np.ndarray:
@@ -295,9 +291,8 @@ class KrausChannel:
     """Trace-preserving evolution ``ρ → Σᵢ Eᵢ ρ Eᵢ†``."""
 
     operators: np.ndarray
-    tol: InitVar[float] = TOL
 
-    def __post_init__(self, tol):
+    def __post_init__(self):
         stack = np.asarray(
             [_require_square(e, "Kraus operator") for e in self.operators],
             dtype=complex,
@@ -307,9 +302,9 @@ class KrausChannel:
         d = stack.shape[1]
         total = np.einsum("kji,kjl->il", stack.conj(), stack)
         dev = float(np.abs(total - np.eye(d)).max())
-        if dev > tol:
+        if dev > TOL:
             raise ChannelError(
-                f"Kraus operators do not preserve trace: max |Σ E†E − I| = {dev:.3g} > tol {tol:g}"
+                f"Kraus operators do not preserve trace: max |Σ E†E − I| = {dev:.3g} > tol {TOL:g}"
             )
         stack.setflags(write=False)
         object.__setattr__(self, "operators", stack)
@@ -334,18 +329,18 @@ def _check_dims(rho: DensityMatrix, other_dim: int, what: str) -> None:
         raise ShapeError(f"{what} dimension {other_dim} does not match state dimension {rho.dim}")
 
 
-def evolve_density(rho: DensityMatrix, u: UnitaryOperator, tol: float = TOL) -> DensityMatrix:
+def evolve_density(rho: DensityMatrix, u: UnitaryOperator) -> DensityMatrix:
     """Unitary evolution ``ρ → u ρ u†``; preserves trace and spectrum."""
     _check_dims(rho, u.dim, "unitary")
     m = u.matrix @ rho.matrix @ dagger(u.matrix)
-    return DensityMatrix(m, tol)
+    return DensityMatrix(m)
 
 
-def apply_channel(rho: DensityMatrix, ch: KrausChannel, tol: float = TOL) -> DensityMatrix:
+def apply_channel(rho: DensityMatrix, ch: KrausChannel) -> DensityMatrix:
     """Generalized evolution ``ρ → Σᵢ Eᵢ ρ Eᵢ†``."""
     _check_dims(rho, ch.dim, "channel")
     m = np.einsum("kij,jl,kml->im", ch.operators, rho.matrix, ch.operators.conj())
-    return DensityMatrix(m, tol)
+    return DensityMatrix(m)
 
 
 def outcome_probabilities(rho: DensityMatrix, basis: MeasurementBasis) -> np.ndarray:
@@ -356,20 +351,18 @@ def outcome_probabilities(rho: DensityMatrix, basis: MeasurementBasis) -> np.nda
     return np.einsum("ak,ak->k", v.conj(), rho.matrix @ v).real
 
 
-def measure(
-    rho: DensityMatrix, basis: MeasurementBasis, tol: float = TOL
-) -> list[MeasurementOutcome]:
+def measure(rho: DensityMatrix, basis: MeasurementBasis) -> list[MeasurementOutcome]:
     """Projective measurement of ``rho``.
 
     Returns one entry per outcome with its probability and the collapsed
     post-measurement state ``Π ρ Π / p``, which for a rank-one projector is
-    ``|v⟩⟨v|``. Outcomes with probability at or below ``tol`` carry no
+    ``|v⟩⟨v|``. Outcomes with probability at or below ``TOL`` carry no
     post-state (the collapse is undefined at p = 0).
     """
     probs = outcome_probabilities(rho, basis)
     results = []
     for label, v, p in zip(basis.labels, basis.unitary.T, probs):
-        post = PureState(v, tol).to_density() if p > tol else None
+        post = PureState(v).to_density() if p > TOL else None
         results.append(MeasurementOutcome(label, float(p), post))
     return results
 

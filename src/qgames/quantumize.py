@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 from typing import Hashable, Mapping, Sequence
 
 import numpy as np
@@ -185,9 +185,8 @@ class OperatorMixture:
 
     probabilities: np.ndarray
     operators: tuple
-    tol: InitVar[float] = TOL
 
-    def __post_init__(self, tol):
+    def __post_init__(self):
         probs = np.asarray(self.probabilities, dtype=float).reshape(-1)
         ops = tuple(
             op if isinstance(op, UnitaryOperator) else UnitaryOperator(op)
@@ -197,9 +196,9 @@ class OperatorMixture:
             raise ShapeError(f"{len(probs)} probabilities for {len(ops)} operators")
         if not np.all(np.isfinite(probs)):
             raise ValidationError("mixture probabilities must be finite")
-        if np.any(probs < -tol):
+        if np.any(probs < -TOL):
             raise ValidationError("mixture probabilities must be nonnegative")
-        if abs(probs.sum() - 1.0) > tol:
+        if abs(probs.sum() - 1.0) > TOL:
             raise ValidationError(f"mixture probabilities sum to {probs.sum()}, expected 1")
         if len({op.dim for op in ops}) != 1:
             raise ShapeError("mixture operators must share one dimension")
@@ -222,7 +221,7 @@ class OperatorMixture:
         return self.operators[0].dim
 
 
-def product_channel(mixtures: Sequence[OperatorMixture], tol: float = TOL) -> KrausChannel:
+def product_channel(mixtures: Sequence[OperatorMixture]) -> KrausChannel:
     """Kraus channel of independent per-player mixtures:
     ``E_(k1..kn) = sqrt(Π p_iki) · U_1k1 ⊗ ... ⊗ U_nkn``."""
     kraus = []
@@ -232,7 +231,7 @@ def product_channel(mixtures: Sequence[OperatorMixture], tol: float = TOL) -> Kr
             continue
         joint = tensor_all([m.operators[k].matrix for m, k in zip(mixtures, combo)])
         kraus.append(np.sqrt(weight) * joint)
-    return KrausChannel(np.asarray(kraus), tol)
+    return KrausChannel(np.asarray(kraus))
 
 
 def _apply_mixture(rho: np.ndarray, mixture: OperatorMixture, player: int, dims: Sequence[int]) -> np.ndarray:
@@ -271,11 +270,11 @@ def expected_payoffs_mixed(qg: QuantumGame, mixtures: Sequence[OperatorMixture])
 # sequential protocol
 # ---------------------------------------------------------------------------
 
-def _is_permutation_matrix(m: np.ndarray, tol: float) -> bool:
+def _is_permutation_matrix(m: np.ndarray) -> bool:
     if m.shape[0] != m.shape[1]:
         return False
-    near_one = np.abs(m - 1.0) <= tol
-    near_zero = np.abs(m) <= tol
+    near_one = np.abs(m - 1.0) <= TOL
+    near_zero = np.abs(m) <= TOL
     if not np.all(near_one | near_zero):
         return False
     ones = near_one.astype(int)
@@ -299,9 +298,8 @@ class SequentialQuantumGame:
     classical_moves: Mapping[str, UnitaryOperator]
     payoff_vectors: np.ndarray
     player_names: tuple[str, ...] | None = None
-    tol: InitVar[float] = TOL
 
-    def __post_init__(self, tol):
+    def __post_init__(self):
         labels = tuple(str(s) for s in self.state_labels)
         if len(set(labels)) != len(labels):
             raise ValidationError("state labels must be distinct")
@@ -315,7 +313,7 @@ class SequentialQuantumGame:
             u = op if isinstance(op, UnitaryOperator) else UnitaryOperator(op)
             if u.dim != k:
                 raise ShapeError(f"move {name!r} has dimension {u.dim}, expected {k}")
-            if not _is_permutation_matrix(u.matrix, tol):
+            if not _is_permutation_matrix(u.matrix):
                 raise ValidationError(
                     f"classical move {name!r} is not a permutation of the states"
                 )
@@ -363,7 +361,6 @@ def build_sequential(
     classical_moves: Mapping[str, "UnitaryOperator | np.ndarray"],
     state_payoffs: Sequence[Sequence[float]],
     player_names: Sequence[str] | None = None,
-    tol: float = TOL,
 ) -> SequentialQuantumGame:
     """Assemble a sequential game from per-player payoff vectors over states.
 
@@ -377,7 +374,6 @@ def build_sequential(
         dict(classical_moves),
         state_payoffs,
         tuple(player_names) if player_names is not None else None,
-        tol,
     )
 
 

@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ParameterError, ShapeError
-from .quantum import UnitaryOperator, as_complex_matrix, is_unitary
+from .quantum import TOL, UnitaryOperator, as_complex_matrix, is_unitary
 
 ONE_PARAM = "one_param"
 TWO_PARAM = "two_param"
@@ -52,10 +52,10 @@ class ParameterRange:
     include_hi: bool = True
     periodic: bool = False
 
-    def contains(self, x: float, tol: float = 1e-12) -> bool:
+    def contains(self, x: float) -> bool:
         if self.include_hi:
-            return self.lo - tol <= x <= self.hi + tol
-        return self.lo - tol <= x < self.hi
+            return self.lo - TOL <= x <= self.hi + TOL
+        return self.lo - TOL <= x < self.hi
 
     def axis(self, resolution: int) -> np.ndarray:
         return np.linspace(self.lo, self.hi, resolution, endpoint=self.include_hi)

@@ -19,6 +19,7 @@ from qgames.classical import (
     pareto_relation,
     pure_nash,
 )
+from qgames.equilibrium import pareto_report
 from qgames.errors import ShapeError, UnsupportedError, ValidationError
 
 
@@ -155,6 +156,30 @@ class TestPureNash:
             assert pure_nash(game, strict) == brute_force_pure_nash(game, strict)
 
 
+class TestFloatTies:
+    """Payoffs that differ only by rounding (0.1 + 0.2 against 0.3) tie."""
+
+    @pytest.fixture
+    def rounded(self):
+        pay_a = np.array([[0.1 + 0.2, 0.0], [0.3, 0.0]])
+        pay_b = np.array([[1.0, 0.0], [1.0, 0.0]])
+        return ClassicalGame((("a", "b"), ("c", "d")), (pay_a, pay_b))
+
+    def test_pure_nash_keeps_both_tied_plays(self, rounded):
+        assert pure_nash(rounded) == [(0, 0), (1, 0)]
+        assert pure_nash(rounded, strict=True) == []
+
+    def test_dominance_sees_the_tie(self):
+        # row a weakly dominates row b once 0.3 and 0.1 + 0.2 tie
+        pay = np.array([[0.3, 1.0], [0.1 + 0.2, 0.0]])
+        game = ClassicalGame((("a", "b"), ("c", "d")), (pay, pay.T))
+        assert dominant_strategies(game) == (0, 0)
+        assert dominant_strategies(game, strict=True) == (None, None)
+
+    def test_pareto_keeps_both_tied_plays(self, rounded):
+        assert pareto_optimal_plays(rounded) == [(0, 0), (1, 0)]
+
+
 class TestMixedNash:
     def test_coordination_interior_point(self, coordination):
         profiles = mixed_nash_two_player(coordination)
@@ -260,3 +285,19 @@ class TestParetoOptimalPlays:
 
     def test_coordination(self, coordination):
         assert pareto_optimal_plays(coordination) == [(0, 0), (1, 1)]
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_matches_brute_force_and_pareto_report(self, seed):
+        rng = np.random.default_rng(seed)
+        game = random_game(rng, integer_payoffs=bool(seed % 2))
+        plays = list(game.plays())
+        vectors = [game.payoff_vector(p) for p in plays]
+        brute = [
+            p for p, v in zip(plays, vectors)
+            if not any(np.all(w >= v) and np.any(w > v) for w in vectors)
+        ]
+        assert pareto_optimal_plays(game) == brute
+        report = pareto_report([(str(p), v) for p, v in zip(plays, vectors)])
+        assert report.optimal == tuple(str(p) for p in brute)
+        for i, row in enumerate(report.relations):
+            assert row == tuple(pareto_relation(vectors[i], w) for w in vectors)

@@ -123,9 +123,9 @@ class TestPayoff:
         path.write_text(json.dumps(doc))
         counts = Counter()
         for cls in (DensityMatrix, MeasurementBasis):
-            def counted(self, tol, _original=cls.__post_init__, _name=cls.__name__):
+            def counted(self, _original=cls.__post_init__, _name=cls.__name__):
                 counts[_name] += 1
-                _original(self, tol)
+                _original(self)
 
             monkeypatch.setattr(cls, "__post_init__", counted)
         _, code = run(["payoff", "--game", str(path), "--play", "0,0;pi,0"])
@@ -165,9 +165,9 @@ class TestBestResponse:
 def _count_density_matrices(monkeypatch) -> Counter:
     counts = Counter()
 
-    def counted(self, tol, _original=DensityMatrix.__post_init__):
+    def counted(self, _original=DensityMatrix.__post_init__):
         counts["DensityMatrix"] += 1
-        _original(self, tol)
+        _original(self)
 
     monkeypatch.setattr(DensityMatrix, "__post_init__", counted)
     return counts
@@ -216,6 +216,21 @@ class TestVerifyNash:
         assert code == 1
         assert report.results["certified"] is False
         assert report.results["refuted"] is True
+
+    def test_undecided_exit_one(self, game_files):
+        # the largest gain, 6.45e-6, lies between ε and 10ε: neither verdict
+        report, code = run(
+            [
+                "verify-nash",
+                "--game", game_files["prisoners_dilemma"],
+                "--family", "two_param",
+                "--profile", "0,1.569;0,1.5707963",
+            ]
+        )
+        assert code == 1
+        assert report.results["certified"] is False
+        assert report.results["refuted"] is False
+        assert report.results["max_unilateral_gain"] == pytest.approx(6.45e-6, rel=1e-3)
 
     def test_finite_profile(self, game_files):
         report, code = run(
@@ -314,6 +329,20 @@ class TestDemo:
         failed = [c for c in report.results["checks"] if not c["passed"]]
         assert [c["label"] for c in failed] == ["full unitary family admits no pure equilibrium"]
         assert failed[0]["details"]["least_gain"] == pytest.approx(1e-6, rel=1e-12)
+
+    def test_dilemma_at_large_payoff_scale(self):
+        # payoffs near -3.7e167 against -3 are rounding at max |π| = 1e200
+        report, code = run(["demo", "prisoners_dilemma", "--params", "alpha=1e200"])
+        assert code == 0
+        assert report.results["all_passed"] is True
+
+    def test_no_pure_equilibrium_note_is_conditional(self, capsys):
+        _, code, out = _capture(capsys, ["demo", "prisoners_dilemma", "--params", "gamma=1e-6"])
+        assert code == 1
+        notes = [line for line in out.splitlines() if line.startswith("note: Against any fixed")]
+        assert len(notes) == 1
+        assert "so every profile is refuted." not in notes[0]
+        assert notes[0].endswith("every profile is refuted when half that bound exceeds 10*epsilon.")
 
     def test_demo_notes_mention_documented_discrepancies(self):
         report, _ = run(["demo", "battle_of_sexes"])

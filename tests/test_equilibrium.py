@@ -205,15 +205,6 @@ class TestVerifyNash:
         report = verify_nash(dilemma_q, profile, THREE)
         assert report.refuted
 
-    def test_pareto_flags(self, dilemma_q):
-        report = verify_nash(
-            dilemma_q,
-            (PHASE_POINT, PHASE_POINT),
-            TWO,
-            reference=[("mutual_defection", (-3.0, -3.0))],
-        )
-        assert report.pareto_flags == {"mutual_defection": "a_dominates"}
-
 
 class TestForcingResponse:
     @pytest.mark.parametrize("responder", [0, 1])

@@ -58,7 +58,6 @@ class TestTensorProduct:
         big = np.eye(70)
         with pytest.raises(DimensionLimitError):
             tensor_product(big, big)  # 4900 > 4096
-        assert tensor_product(big, big, dim_cap=4900).shape == (4900, 4900)
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=30, deadline=None)
@@ -91,7 +90,7 @@ class TestIsUnitary:
 
     def test_three_parameter_member(self):
         u = unitary_matrix(StrategyFamily.three_param(), (0.7, 1.1, 2.3))
-        assert is_unitary(u, tol=1e-12)
+        assert is_unitary(u)
 
     def test_non_square_raises(self):
         with pytest.raises(ShapeError):
@@ -175,8 +174,8 @@ class TestErrorsStateDeviation:
             UnitaryOperator(np.array([[1, 1], [0, 1]]))
 
     def test_measurement_basis(self):
-        with pytest.raises(ValidationError, match=r"not orthonormal: \|\(V†V − I\)\[0,0\]\| = 0\.5 > tol 1e-06"):
-            MeasurementBasis(np.diag([np.sqrt(0.5), 1.0]), ("a", "b"), 1e-6)
+        with pytest.raises(ValidationError, match=r"not orthonormal: \|\(V†V − I\)\[0,0\]\| = 0\.5 > tol 1e-09"):
+            MeasurementBasis(np.diag([np.sqrt(0.5), 1.0]), ("a", "b"))
 
     def test_kraus_channel(self):
         with pytest.raises(ChannelError, match=r"max \|Σ E†E − I\| = 0\.75 > tol 1e-09"):
